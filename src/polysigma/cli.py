@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from itertools import product
 
@@ -17,11 +18,10 @@ import numpy as np
 
 from . import oracle, phases, sigma_algebra, su2
 from .errors import BudgetExceededError, DomainError
-from .matrices import BlockCyclicMatrix, sigma
+from .matrices import DEFAULT_TOL, BlockCyclicMatrix, sigma
 from .phases import Q12
 
 _DEF_SEED = 42
-_DEF_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +186,8 @@ def cmd_param_mul(args) -> int:
             for tup in data["tuples"]
         ]
         for tup in tuples:
-            if len(tup) != n:
-                raise DomainError(f"each tuple must list {n} elements")
+            if len(tup) != n or any(e.arity != n for e in tup):
+                raise DomainError(f"each tuple must list {n} elements of arity {n}")
     results = []
     max_dev = 0.0
     for tup in tuples:
@@ -216,11 +216,16 @@ def cmd_param_mul(args) -> int:
 def _relaxed_element(data: dict) -> BlockCyclicMatrix:
     """Cyclic block matrix from {"arity", "blocks"} without the unit-norm
     check, so identity-coefficient elements are accepted."""
-    arity = int(data["arity"])
+    arity = data["arity"]
+    if not isinstance(arity, int):
+        raise DomainError(f"arity must be an integer, got {arity!r}")
     blocks = []
     for b in data["blocks"]:
-        x0 = float(b["x0"])
-        x1, x2, x3 = (float(v) for v in b["x"])
+        coeffs = [b["x0"], *b["x"]]
+        if len(coeffs) != 4 or not all(isinstance(v, (int, float)) and math.isfinite(v)
+                                       for v in coeffs):
+            raise DomainError(f"a block needs a finite x0 and three finite x, got {b!r}")
+        x0, x1, x2, x3 = (float(v) for v in coeffs)
         blocks.append(
             x0 * sigma(0) + 1j * (x1 * sigma(1) + x2 * sigma(2) + x3 * sigma(3))
         )
@@ -291,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=("auto", "exhaustive", "sample"), default="auto")
     p.add_argument("--seed", type=int, default=_DEF_SEED)
-    p.add_argument("--tol", type=float, default=_DEF_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
                    help="product budget for exhaustive sweeps")
     p.add_argument("--out", help="write the structure report JSON here")
@@ -305,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--in", dest="infile", help="JSON file of element tuples")
     src.add_argument("--random", type=int, help="generate this many random tuples")
     p.add_argument("--seed", type=int, default=_DEF_SEED)
-    p.add_argument("--tol", type=float, default=_DEF_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", help="write results JSON here (default stdout)")
     p.set_defaults(func=cmd_param_mul)
 

@@ -22,24 +22,14 @@ import numpy as np
 
 from . import phases
 from .errors import BudgetExceededError, DomainError
-from .matrices import BlockCyclicMatrix
+from .matrices import DEFAULT_TOL, DET_TOL, BlockCyclicMatrix
 from .phases import check_modulus
 from .sigma_algebra import mul_sigma_indices
 from .su2 import PolyadicSU2Element, SU2Params, binary_su2_matrix
 
-DEFAULT_TOL = 1e-12
-DET_TOL = 1e-10
 DEFAULT_BUDGET = 30_000_000
 
 _FAMILIES = ("pauli", "elementary", "full", "het")
-
-#: pairwise sigma-index tables used by the vectorized sweeps.
-_JT = np.array(
-    [[mul_sigma_indices(a, b)[0] for b in range(4)] for a in range(4)], dtype=np.int64
-)
-_QT = np.array(
-    [[mul_sigma_indices(a, b)[1] for b in range(4)] for a in range(4)], dtype=np.int64
-)
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -74,6 +64,14 @@ def lower(obj) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # family plumbing
+#
+# A label is a vector of m slots over G_q + {0}, the phase-shifted sigma
+# matrices e^(2*pi*i*r/q)*sigma_j coded j*q + r plus an absorbing zero coded
+# 4q (Post's covering group).  Pauli and full labels have one slot,
+# heterogeneous labels n-1 free slots, elementary labels one nonzero slot.
+# A product uses the cyclic shift of ``het_nary_mul``: result slot s is the
+# product over factors t of factor t's slot (s + t) mod m, so zero factors and
+# non-chaining elementary tuples fall out of the zero row and column.
 
 
 @dataclass(frozen=True)
@@ -84,100 +82,90 @@ class _Family:
     order: int
     mult_len: int                       # factor count of the basic product
     dense_stack: np.ndarray             # (order, d, d)
-    index_mult: Callable[[np.ndarray], np.ndarray]   # (B, tl) -> (B,)
+    #: (B, t) label rows -> (B,) products; with every_last=True,
+    #: (P, t) prefixes -> (P, order), each prefix followed by every label
+    index_mult: Callable[..., np.ndarray]
     tokens: tuple[str, ...]
 
 
-def _fold_jr(js: np.ndarray, rs: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    j = js[:, 0].copy()
-    quarter = np.zeros(js.shape[0], dtype=np.int64)
-    rsum = rs[:, 0].astype(np.int64).copy()
-    for t in range(1, js.shape[1]):
-        quarter += _QT[j, js[:, t]]
-        j = _JT[j, js[:, t]]
-        rsum += rs[:, t]
-    return j, (rsum + (q // 4) * quarter) % q
+def _cayley_table(q: int) -> np.ndarray:
+    """(4q+1, 4q+1) Cayley table of G_q plus the absorbing zero 4q."""
+    words = np.array([[mul_sigma_indices(a, b) for b in range(4)] for a in range(4)])
+    j, r = np.divmod(np.arange(4 * q), q)
+    word = words[j[:, None], j[None, :]]
+    table = np.full((4 * q + 1, 4 * q + 1), 4 * q, dtype=np.int64)
+    table[:-1, :-1] = (word[..., 0] * q
+                       + (r[:, None] + r[None, :] + (q // 4) * word[..., 1]) % q)
+    return table
+
+
+def _label_slots(lab, m: int, q: int) -> list[int]:
+    """The m slot codes of one label."""
+    if isinstance(lab, phases.HetLabel):
+        return [j * q + r for j, r in zip(lab.js, lab.rs)]
+    slots = [4 * q] * m
+    if not isinstance(lab, phases.ZeroLabel):
+        slots[getattr(lab, "k", 1) - 1] = lab.j * q + lab.r  # elementary: slot k
+    return slots
+
+
+def _slot_index(name: str, q: int, m: int) -> tuple[np.ndarray, np.ufunc]:
+    """(m, 4q+1) table of the label-index part that code c contributes in
+    slot s, and the ufunc that joins the slots' parts into the label index,
+    in the orders of ``het_index`` and ``elementary_index``."""
+    j, r = np.divmod(np.arange(4 * q + 1), q)
+    if name == "elementary":
+        # one live slot at most; the zero label has the largest index, so the
+        # minimum over the slots picks the live one
+        parts = np.array([(j * m + s) * q + r for s in range(m)])
+        parts[:, -1] = 4 * q * m
+        return parts, np.minimum
+    # a group family never reaches the zero code
+    return np.array([j * 4 ** (m - 1 - s) * q ** m + r * q ** (m - 1 - s)
+                     for s in range(m)]), np.add
+
+
+def _slot_kernel(table: np.ndarray, slots: np.ndarray, parts: np.ndarray,
+                 join: np.ufunc) -> Callable[..., np.ndarray]:
+    """index_mult over (m, order) slot codes, folded one slot at a time."""
+    m = slots.shape[0]
+
+    def index_mult(idx: np.ndarray, every_last: bool = False) -> np.ndarray:
+        out = None
+        for s in range(m):
+            acc = slots[s][idx[:, 0]]
+            for t in range(1, idx.shape[1]):
+                acc = table[acc, slots[(s + t) % m][idx[:, t]]]
+            if every_last:
+                acc = table[acc[:, None], slots[(s + idx.shape[1]) % m]]
+            out = parts[s][acc] if out is None else join(out, parts[s][acc])
+        return out
+
+    return index_mult
 
 
 def family_context(name: str, n: int, q: int) -> _Family:
     check_modulus(q)
     if name == "pauli":
+        n = 2
         labels = phases.pauli_labels(q)
-
-        def mult_idx(idx: np.ndarray) -> np.ndarray:
-            j, r = _fold_jr(idx // q, idx % q, q)
-            return j * q + r
-
-        return _Family(name, 2, q, len(labels), 2,
-                       np.stack([lab.dense() for lab in labels]), mult_idx,
-                       tuple(lab.token() for lab in labels))
-
-    if n < 3:
+    elif n < 3:
         raise DomainError(f"arity must be >= 3 for family {name!r}, got {n}")
-    m = n - 1
-
-    if name == "full":
+    elif name == "full":
         labels = phases.full_labels(n, q)
-
-        def mult_idx(idx: np.ndarray) -> np.ndarray:
-            j, r = _fold_jr(idx // q, idx % q, q)
-            return j * q + r
-
-        return _Family(name, n, q, len(labels), n,
-                       np.stack([lab.dense() for lab in labels]), mult_idx,
-                       tuple(lab.token() for lab in labels))
-
-    if name == "elementary":
+    elif name == "elementary":
         labels = phases.elementary_labels(n, q)
-        zero_idx = len(labels) - 1
-
-        def mult_idx(idx: np.ndarray) -> np.ndarray:
-            zero = (idx == zero_idx).any(axis=1)
-            j = idx // (m * q)
-            k0 = (idx // q) % m
-            r = idx % q
-            chained = np.ones(idx.shape[0], dtype=bool)
-            for t in range(idx.shape[1] - 1):
-                chained &= k0[:, t + 1] == (k0[:, t] + 1) % m
-            jr, rr = _fold_jr(np.where(zero[:, None], 0, j), r, q)
-            out = (jr * m + k0[:, 0]) * q + rr
-            out[zero | ~chained] = zero_idx
-            return out
-
-        return _Family(name, n, q, len(labels), n,
-                       np.stack([lab.dense() for lab in labels]), mult_idx,
-                       tuple(lab.token() for lab in labels))
-
-    if name == "het":
+    elif name == "het":
         labels = phases.het_phased_labels(n, q)
-        qm = q ** m
-
-        def mult_idx(idx: np.ndarray) -> np.ndarray:
-            jidx = idx // qm
-            ridx = idx % qm
-            js = np.stack([(jidx // 4 ** (m - 1 - i)) % 4 for i in range(m)], axis=-1)
-            rs = np.stack([(ridx // q ** (m - 1 - i)) % q for i in range(m)], axis=-1)
-            tl = idx.shape[1]
-            jidx_out = np.zeros(idx.shape[0], dtype=np.int64)
-            ridx_out = np.zeros(idx.shape[0], dtype=np.int64)
-            for s in range(m):
-                j = js[:, 0, s].copy()
-                quarter = np.zeros(idx.shape[0], dtype=np.int64)
-                rsum = rs[:, 0, s].astype(np.int64).copy()
-                for t in range(1, tl):
-                    col = (s + t) % m
-                    quarter += _QT[j, js[:, t, col]]
-                    j = _JT[j, js[:, t, col]]
-                    rsum += rs[:, t, col]
-                jidx_out = jidx_out * 4 + j
-                ridx_out = ridx_out * q + (rsum + (q // 4) * quarter) % q
-            return jidx_out * qm + ridx_out
-
-        return _Family(name, n, q, len(labels), n,
-                       np.stack([lab.dense() for lab in labels]), mult_idx,
-                       tuple(lab.token() for lab in labels))
-
-    raise DomainError(f"unknown family {name!r}; expected one of {_FAMILIES}")
+    else:
+        raise DomainError(f"unknown family {name!r}; expected one of {_FAMILIES}")
+    m = n - 1 if name in ("elementary", "het") else 1
+    slots = np.array([_label_slots(lab, m, q) for lab in labels], dtype=np.int64).T
+    return _Family(name, n, q, len(labels), n,
+                   np.stack([lab.dense() for lab in labels]),
+                   _slot_kernel(_cayley_table(q), np.ascontiguousarray(slots),
+                                *_slot_index(name, q, m)),
+                   tuple(lab.token() for lab in labels))
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +268,14 @@ class CheckResult:
     witness: dict | None
 
 
-def _closure_deviation(fam: _Family, idx: np.ndarray, prod: np.ndarray,
-                       tol: float) -> tuple[float, int | None]:
-    res = fam.index_mult(idx)
-    np.subtract(prod, fam.dense_stack[res], out=prod)
-    dev = np.abs(prod.reshape(idx.shape[0], -1)).max(axis=1)
+def _deviation(prod: np.ndarray, expected: np.ndarray,
+               tol: float) -> tuple[float, np.ndarray | None]:
+    """Worst entrywise |prod - expected| over a stack of matrices and, when it
+    exceeds ``tol``, the mask of matrices beyond it; overwrites ``prod``."""
+    np.subtract(prod, expected, out=prod)
+    dev = np.abs(prod)
     worst = float(dev.max()) if dev.size else 0.0
-    if worst > tol:
-        return worst, int(np.argmax(dev > tol))
-    return worst, None
+    return worst, ((dev > tol).any(axis=(-2, -1)) if worst > tol else None)
 
 
 def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float) -> tuple[float, int | None]:
@@ -296,32 +283,31 @@ def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float) -> tuple[float
     prod = fam.dense_stack[idx[:, 0]]
     for t in range(1, idx.shape[1]):
         prod = prod @ fam.dense_stack[idx[:, t]]
-    return _closure_deviation(fam, idx, prod, tol)
+    worst, bad = _deviation(prod, fam.dense_stack[fam.index_mult(idx)], tol)
+    return worst, (None if bad is None else int(np.argmax(bad)))
 
 
 def _closure_on_range(fam: _Family, tuple_len: int, start: int, stop: int,
                       tol: float) -> tuple[float, int | None, np.ndarray | None]:
-    """Exhaustive chunk in flat row-major order.  Chunks aligned to the label
-    count share the leading tuple_len-1 factors across runs, so the prefix
-    product is computed once per run."""
-    order = fam.order
-    if tuple_len >= 2 and start % order == 0 and (stop - start) % order == 0:
-        pref = _build_tuples(order, tuple_len - 1, start // order, stop // order)
-        acc = fam.dense_stack[pref[:, 0]]
-        for t in range(1, tuple_len - 1):
-            acc = acc @ fam.dense_stack[pref[:, t]]
-        last = np.tile(np.arange(order, dtype=np.int64), pref.shape[0])
-        prod = np.repeat(acc, order, axis=0) @ fam.dense_stack[last]
-        idx = np.concatenate(
-            [np.repeat(pref, order, axis=0), last[:, None]], axis=1
-        )
-    else:
-        idx = _build_tuples(order, tuple_len, start, stop)
-        prod = fam.dense_stack[idx[:, 0]]
-        for t in range(1, tuple_len):
-            prod = prod @ fam.dense_stack[idx[:, t]]
-    worst, bad = _closure_deviation(fam, idx, prod, tol)
-    return worst, bad, (idx[bad] if bad is not None else None)
+    """Exhaustive chunk in flat row-major order; start and stop are multiples
+    of the label count, so the chunk is whole runs that each share their
+    leading tuple_len-1 factors.  The prefix products, stacked to (P*d, d),
+    are multiplied by each label's matrix as one tall product."""
+    order, d = fam.order, fam.dense_stack.shape[-1]
+    pref = _build_tuples(order, tuple_len - 1, start // order, stop // order)
+    acc = fam.dense_stack[pref[:, 0]]
+    for t in range(1, tuple_len - 1):
+        acc = acc @ fam.dense_stack[pref[:, t]]
+    tall = acc.reshape(-1, d)
+    prod = np.empty((order, tall.shape[0], d), dtype=tall.dtype)
+    for last in range(order):
+        np.matmul(tall, fam.dense_stack[last], out=prod[last])
+    res = fam.index_mult(pref, every_last=True)
+    worst, bad = _deviation(prod.reshape(order, -1, d, d), fam.dense_stack[res.T], tol)
+    if bad is None:
+        return worst, None, None
+    bad = int(np.argmax(bad.T))  # row-major: prefix-major, then last label
+    return worst, bad, np.append(pref[bad // order], bad % order)
 
 
 def _assoc_on_tuples(fam: _Family, idx: np.ndarray) -> int | None:
@@ -348,7 +334,12 @@ def _witness(fam: _Family, row: np.ndarray, kind: str) -> dict:
     return {"kind": kind, "operands": ops}
 
 
-_CHUNK = 1 << 18
+#: tuples per exhaustive chunk; bounds the chunk's working memory.
+_CHUNK = 1 << 17
+#: bound on m*n*k of one tall product.  OpenBLAS 0.3 splits a complex GEMM
+#: of about 2^16 m*n*k over two threads; on two cores that doubled CPU time
+#: and saved no wall time.
+_TALL_MNK = 1 << 15
 
 
 def _run_closure_exhaustive(fam: _Family, tuple_len: int, tol: float,
@@ -358,16 +349,14 @@ def _run_closure_exhaustive(fam: _Family, tuple_len: int, tol: float,
     worst = 0.0
 
     def work(rng: tuple[int, int]):
-        start, stop = rng
-        dev, bad, bad_row = _closure_on_range(fam, tuple_len, start, stop, tol)
-        return start, stop, dev, bad, bad_row
+        return rng, _closure_on_range(fam, tuple_len, *rng, tol)
 
-    chunk = max(fam.order * (_CHUNK // fam.order), fam.order) if fam.order <= _CHUNK else _CHUNK
-    ranges = _chunk_ranges(total, chunk)
+    runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.dense_stack.shape[-1] ** 3))
+    ranges = _chunk_ranges(total, runs * fam.order)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     results = pool.map(work, ranges) if pool else map(work, ranges)
     try:
-        for start, stop, dev, bad, bad_row in results:
+        for (start, stop), (dev, bad, bad_row) in results:
             worst = max(worst, dev)
             if bad is not None:
                 witness = _witness(fam, bad_row, "closure")

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArityError, DomainError, ValidationError
-from .matrices import BlockCyclicMatrix, sigma
+from .matrices import DEFAULT_TOL, BlockCyclicMatrix, sigma
 from .sigma_algebra import levi_civita, mul_sigma_indices, reduce_sigma_word
 
 #: the twelve admissible phase moduli.
@@ -513,7 +513,7 @@ def build_pauli_group(
     q: int,
     *,
     seed: int = 42,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     mode: str = "auto",
     closure_budget: int = 250_000,
     closure_samples: int = 10_000,
@@ -566,7 +566,7 @@ def build_elementary_semigroup(
     q: int,
     *,
     seed: int = 42,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     mode: str = "auto",
     closure_budget: int = 30_000_000,
     closure_samples: int = 100_000,
@@ -614,7 +614,7 @@ def build_full_group(
     q: int,
     *,
     seed: int = 42,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     mode: str = "auto",
     closure_budget: int = 30_000_000,
     closure_samples: int = 100_000,
@@ -686,7 +686,7 @@ def build_het_group(
     *,
     cap: int = 30_000_000,
     seed: int = 42,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     mode: str = "auto",
     closure_samples: int = 100_000,
     assoc_samples: int = 100_000,

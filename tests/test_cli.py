@@ -187,6 +187,15 @@ def test_param_mul_malformed_input(tmp_path):
     assert run(["param-mul", "--n", "2", "--in", bad3]) == 2
 
 
+def test_param_mul_mixed_arities_is_input_error(tmp_path):
+    unit = {"x0": 1.0, "x": [0.0, 0.0, 0.0]}
+    ternary = {"arity": 3, "blocks": [unit, unit]}
+    binary = {"arity": 2, "blocks": [unit]}
+    bad = tmp_path / "mixed.json"
+    bad.write_text(json.dumps({"arity": 3, "tuples": [[ternary, binary, ternary]]}))
+    assert run(["param-mul", "--n", "3", "--in", bad]) == 2
+
+
 # ---------------------------------------------------------------------------
 # trace
 
@@ -240,6 +249,20 @@ def test_trace_random_su2_element(tmp_path):
 def test_trace_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
+    assert run(["trace", "--in", bad]) == 2
+
+
+@pytest.mark.parametrize("arity, block", [
+    (3, {"x0": "abc", "x": [0.0, 0.0, 0.0]}),     # non-numeric x0
+    (3, {"x0": 1.0, "x": [0.0, 0.0]}),            # two x components
+    (3, {"x0": 1.0, "x": [0.0, 0.0, 0.0, 0.0]}),  # four x components
+    (3, {"x0": 1.0, "x": [0.0, "y", 0.0]}),       # non-numeric x component
+    ("three", {"x0": 1.0, "x": [0.0, 0.0, 0.0]}),  # non-integer arity
+    (4, {"x0": 1.0, "x": [0.0, 0.0, 0.0]}),       # 2 blocks for arity 4
+])
+def test_trace_malformed_element_is_input_error(tmp_path, arity, block):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"arity": arity, "blocks": [block, block]}))
     assert run(["trace", "--in", bad]) == 2
 
 

@@ -1,17 +1,23 @@
 """Verification harness: lowering, single cases, sweeps, budgets, emitters."""
 
+import dataclasses
+import functools
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysigma import BudgetExceededError, DomainError
 from polysigma.matrices import sigma
 from polysigma.oracle import (
     SweepSummary,
     VerificationCase,
+    _run_closure_exhaustive,
     closure_check,
     exhaustive_sweep,
+    family_context,
     het_querelement_inverse_check,
     lower,
     querelement_dense_check,
@@ -21,11 +27,22 @@ from polysigma.oracle import (
     worker_count,
 )
 from polysigma.phases import (
+    Q12,
     FullLabel,
     HetLabel,
     PauliLabel,
     ZeroLabel,
+    elementary_index,
+    elementary_labels,
+    elementary_nary_mul,
+    full_index,
+    full_labels,
     full_nary_mul,
+    het_index,
+    het_nary_mul,
+    het_phased_labels,
+    pauli_index,
+    pauli_labels,
     pauli_mul,
 )
 from polysigma.su2 import PolyadicSU2Element, SU2Params
@@ -204,20 +221,6 @@ def test_junit_emitter():
 
 
 def test_index_mult_matches_label_mult():
-    from polysigma.oracle import family_context
-    from polysigma.phases import (
-        elementary_index,
-        elementary_labels,
-        elementary_nary_mul,
-        full_index,
-        full_labels,
-        het_index,
-        het_nary_mul,
-        het_phased_labels,
-        pauli_index,
-        pauli_labels,
-    )
-
     rng = np.random.default_rng(17)
 
     fam = family_context("pauli", 2, 8)
@@ -259,10 +262,6 @@ def test_index_mult_matches_label_mult():
 def test_closure_sweep_negative_control():
     # corrupting one label's dense form must fail the sweep with a
     # deterministic first-failure witness
-    import dataclasses
-
-    from polysigma.oracle import _run_closure_exhaustive, family_context
-
     fam = family_context("pauli", 2, 4)
     stack = fam.dense_stack.copy()
     stack[3] = -stack[3]
@@ -272,3 +271,110 @@ def test_closure_sweep_negative_control():
     assert not r1.passed
     assert r1.witness is not None and r1.checked < r1.total
     assert r1.witness == r2.witness and r1.checked == r2.checked
+
+
+def test_closure_sweep_negative_control_prefix_path():
+    # het(3, 4) runs the shared-prefix chunk path; label 100 first shows up as
+    # the label result of tuple 352 = (0, 1, 96), so the sweep must stop
+    # there with that tuple, in row-major order, as its witness
+    fam = family_context("het", 3, 4)
+    stack = fam.dense_stack.copy()
+    stack[100] = -stack[100]
+    bad = dataclasses.replace(fam, dense_stack=stack)
+    for workers in (1, 2):
+        res = _run_closure_exhaustive(bad, 3, 1e-12, workers)
+        assert not res.passed and res.exhaustive
+        assert res.checked == 353 and res.total == 256 ** 3
+        assert res.witness == {
+            "kind": "closure",
+            "operands": ["h0.0r0.0", "h0.0r0.1", "h1.2r0.0"],
+            "max_abs_deviation": 2.0,
+        }
+
+
+def test_exhaustive_closure_worst_deviation_is_pinned():
+    # the shared-prefix products must reproduce the per-tuple products bit
+    # for bit; a single wide product per chunk changes this value
+    res = closure_check("full", 4, 8, mode="exhaustive")
+    assert res.passed and res.checked == 32 ** 4
+    assert res.max_abs_deviation == 9.604815623288835e-16
+
+
+# ---------------------------------------------------------------------------
+# property test: the slot-table kernel against the scalar label products
+
+#: family -> (labels, scalar product of a full tuple, label -> index)
+_SCALAR = {
+    "pauli": (
+        lambda n, q: pauli_labels(q),
+        lambda labs, n: functools.reduce(pauli_mul, labs),
+        lambda lab, n, q: pauli_index(lab.j, lab.r, q),
+    ),
+    "full": (
+        full_labels,
+        full_nary_mul,
+        lambda lab, n, q: full_index(lab.j, lab.r, q),
+    ),
+    "elementary": (
+        elementary_labels,
+        # the n-ary product only takes n factors; 2n-1 factors nest left
+        lambda labs, n: elementary_nary_mul(
+            labs if len(labs) == n else [elementary_nary_mul(labs[:n], n), *labs[n:]], n),
+        lambda lab, n, q: (4 * q * (n - 1) if isinstance(lab, ZeroLabel)
+                           else elementary_index(lab.j, lab.k, lab.r, n, q)),
+    ),
+    "het": (
+        het_phased_labels,
+        het_nary_mul,
+        lambda lab, n, q: het_index(lab.js, lab.rs, q),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=32)
+def _context(family, n, q):
+    return family_context(family, n, q), _SCALAR[family][0](n, q)
+
+
+@st.composite
+def _kernel_cases(draw):
+    family = draw(st.sampled_from(sorted(_SCALAR)))
+    if family == "pauli":
+        n, q = 2, draw(st.sampled_from(Q12))
+    elif family == "het":
+        # the (4q)^(n-1) heterogeneous labels are enumerated with their dense
+        # forms; keep to the sets of at most 4096 labels
+        n, q = draw(st.sampled_from([(3, 4), (3, 8), (3, 12), (4, 4)]))
+    else:
+        n, q = draw(st.integers(3, 5)), draw(st.sampled_from(Q12))
+    tl = draw(st.sampled_from([n, 2 * n - 1]))
+    return family, n, q, tl, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_kernel_cases())
+def test_index_mult_property(case):
+    family, n, q, tl, chained, seed = case
+    fam, labels = _context(family, n, q)
+    _, mult, index = _SCALAR[family]
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, fam.order, size=(8, tl))
+    if family == "elementary" and chained:
+        # nonzero products need positions k, k+1, ... (cyclic); random rows
+        # almost never chain
+        m = n - 1
+        k0 = (rng.integers(0, m, size=(8, 1)) + np.arange(tl)) % m
+        j = rng.integers(0, 4, size=(8, tl))
+        idx = (j * m + k0) * q + rng.integers(0, q, size=(8, tl))
+    got = fam.index_mult(idx)
+    want = [index(mult([labels[i] for i in row], n), n, q) for row in idx]
+    assert got.tolist() == want
+    if family == "elementary" and chained:
+        assert all(w != fam.order - 1 for w in want)
+
+    shared = fam.index_mult(idx[:3, :-1], every_last=True)
+    every = np.arange(fam.order)
+    flat = [fam.index_mult(np.column_stack([np.tile(p, (fam.order, 1)), every]))
+            for p in idx[:3, :-1]]
+    assert shared.shape == (3, fam.order)
+    assert np.array_equal(shared, np.stack(flat))
