@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import sys
-from itertools import product
 
 import numpy as np
 
@@ -28,35 +27,27 @@ _DEF_SEED = 42
 # cayley
 
 
-def _cayley_rows(family: str, n: int, q: int):
-    """Yield (operand labels, result fields) in canonical enumeration order."""
-    if family == "pauli":
-        labels = phases.pauli_labels(q)
-        for a, b in product(labels, repeat=2):
-            res = phases.pauli_mul(a, b)
-            yield (a, b), (str(res.j), "", str(res.r))
-    elif family == "full":
-        labels = phases.full_labels(n, q)
-        for ops in product(labels, repeat=n):
-            res = phases.full_nary_mul(list(ops), n)
-            yield ops, (str(res.j), "", str(res.r))
-    elif family == "elementary":
-        labels = phases.elementary_labels(n, q)
-        for ops in product(labels, repeat=n):
-            res = phases.elementary_nary_mul(list(ops), n)
-            if isinstance(res, phases.ZeroLabel):
-                yield ops, ("Z", "", "")
-            else:
-                yield ops, (str(res.j), str(res.k), str(res.r))
-    elif family == "het":
-        labels = phases.het_phased_labels(n, q)
-        for ops in product(labels, repeat=n):
-            res = phases.het_nary_mul(list(ops), n)
-            js = ".".join(str(j) for j in res.js)
-            rs = ".".join(str(r) for r in res.rs)
-            yield ops, (js, "", rs)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown family {family!r}")
+#: table rows per kernel call; bounds the working memory of an export.
+_CAYLEY_CHUNK = 1 << 10
+
+
+def _result_fields(lab) -> list[str]:
+    """The result_j, result_k and result_r columns of one label."""
+    if isinstance(lab, phases.ZeroLabel):
+        return ["Z", "", ""]
+    if isinstance(lab, phases.HetLabel):
+        return [".".join(str(j) for j in lab.js), "", ".".join(str(r) for r in lab.rs)]
+    if isinstance(lab, phases.ElementaryLabel):
+        return [str(lab.j), str(lab.k), str(lab.r)]
+    return [str(lab.j), "", str(lab.r)]
+
+
+def _cayley_rows(fam):
+    """Yield (operand label indices, result label index) in canonical
+    enumeration order, one chunk of rows at a time."""
+    for start, stop in oracle._chunk_ranges(fam.order ** fam.mult_len, _CAYLEY_CHUNK):
+        idx = oracle._build_tuples(fam.order, fam.mult_len, start, stop)
+        yield from zip(idx.tolist(), fam.index_mult(idx).tolist())
 
 
 def _cayley_row_count(family: str, n: int, q: int) -> int:
@@ -78,23 +69,25 @@ def cmd_cayley(args) -> int:
             file=sys.stderr,
         )
         return 2
-    n_ops = 2 if args.family == "pauli" else args.n
+    fam = oracle.family_context(args.family, args.n, args.q)
+    tokens = [lab.token() for lab in fam.labels]
+    fields = [_result_fields(lab) for lab in fam.labels]
     if args.format == "csv":
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow([f"op{i + 1}" for i in range(n_ops)]
+            w.writerow([f"op{i + 1}" for i in range(fam.mult_len)]
                        + ["result_j", "result_k", "result_r"])
-            for ops, res in _cayley_rows(args.family, args.n, args.q):
-                w.writerow([o.token() for o in ops] + list(res))
+            w.writerows([tokens[i] for i in ops] + fields[res]
+                        for ops, res in _cayley_rows(fam))
     else:  # dense-json
         entries = []
-        for ops, res in _cayley_rows(args.family, args.n, args.q):
-            prod_mat = ops[0].dense()
-            for o in ops[1:]:
-                prod_mat = prod_mat @ o.dense()
+        for ops, res in _cayley_rows(fam):
+            prod_mat = fam.dense_stack[ops[0]]
+            for i in ops[1:]:
+                prod_mat = prod_mat @ fam.dense_stack[i]
             entries.append({
-                "operands": [o.token() for o in ops],
-                "result": list(res),
+                "operands": [tokens[i] for i in ops],
+                "result": fields[res],
                 "dense": [[[z.real, z.imag] for z in row] for row in prod_mat.tolist()],
             })
         payload = {"family": args.family, "n": args.n, "q": args.q, "entries": entries}
@@ -179,6 +172,8 @@ def cmd_param_mul(args) -> int:
     else:
         with open(args.infile) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise DomainError(f"input must be a JSON object, got {type(data).__name__}")
         if data.get("arity") != n:
             raise DomainError(f"input arity {data.get('arity')} != --n {n}")
         tuples = [

@@ -11,6 +11,7 @@ coverage, so identical configurations give identical summaries.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -81,11 +82,11 @@ class _Family:
     q: int
     order: int
     mult_len: int                       # factor count of the basic product
-    dense_stack: np.ndarray             # (order, d, d)
+    labels: tuple                       # canonical enumeration order
+    dense_stack: np.ndarray             # (order, d, d), read-only
     #: (B, t) label rows -> (B,) products; with every_last=True,
     #: (P, t) prefixes -> (P, order), each prefix followed by every label
     index_mult: Callable[..., np.ndarray]
-    tokens: tuple[str, ...]
 
 
 def _cayley_table(q: int) -> np.ndarray:
@@ -144,13 +145,17 @@ def _slot_kernel(table: np.ndarray, slots: np.ndarray, parts: np.ndarray,
     return index_mult
 
 
+@functools.lru_cache(maxsize=1)
 def family_context(name: str, n: int, q: int) -> _Family:
+    """Labels, dense forms and the slot-table kernel of one family.  The
+    last context is cached, so one run's closure, associativity and
+    structure checks lower the labels once."""
     check_modulus(q)
+    if name != "pauli" and n < 2:
+        raise DomainError(f"arity must be >= 2 for family {name!r}, got {n}")
     if name == "pauli":
         n = 2
         labels = phases.pauli_labels(q)
-    elif n < 3:
-        raise DomainError(f"arity must be >= 3 for family {name!r}, got {n}")
     elif name == "full":
         labels = phases.full_labels(n, q)
     elif name == "elementary":
@@ -161,11 +166,11 @@ def family_context(name: str, n: int, q: int) -> _Family:
         raise DomainError(f"unknown family {name!r}; expected one of {_FAMILIES}")
     m = n - 1 if name in ("elementary", "het") else 1
     slots = np.array([_label_slots(lab, m, q) for lab in labels], dtype=np.int64).T
-    return _Family(name, n, q, len(labels), n,
-                   np.stack([lab.dense() for lab in labels]),
+    dense = np.stack([lab.dense() for lab in labels])
+    dense.flags.writeable = False
+    return _Family(name, n, q, len(labels), n, tuple(labels), dense,
                    _slot_kernel(_cayley_table(q), np.ascontiguousarray(slots),
-                                *_slot_index(name, q, m)),
-                   tuple(lab.token() for lab in labels))
+                                *_slot_index(name, q, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +335,7 @@ def _assoc_on_tuples(fam: _Family, idx: np.ndarray) -> int | None:
 
 
 def _witness(fam: _Family, row: np.ndarray, kind: str) -> dict:
-    ops = [fam.tokens[int(i)] for i in row]
+    ops = [fam.labels[int(i)].token() for i in row]
     return {"kind": kind, "operands": ops}
 
 

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -429,14 +429,6 @@ def nary_element_order(a, mult, n: int, cap: int) -> int | None:
     return None
 
 
-def _histogram(orders: Iterable[int | None]) -> dict[str, int]:
-    hist: dict[str, int] = {}
-    for o in orders:
-        key = "none" if o is None else str(o)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
 # ---------------------------------------------------------------------------
 # structure reports and builders
 
@@ -509,6 +501,161 @@ class StructureReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _identity_holds(fam, e: int, elems: np.ndarray) -> np.ndarray:
+    """Per element a: e...e a = a and a e...e = a, over label indices."""
+    ee = np.full((len(elems), fam.mult_len - 1), e)
+    return ((fam.index_mult(np.column_stack([ee, elems])) == elems)
+            & (fam.index_mult(np.column_stack([elems, ee])) == elems))
+
+
+def _inverse_holds(fam, elems: np.ndarray, inv: np.ndarray, target) -> np.ndarray:
+    """Per element a: the product of factors a with ``inv`` in any one
+    position equals ``target``."""
+    ok = np.ones(len(elems), dtype=bool)
+    for pos in range(fam.mult_len):
+        rows = np.repeat(elems[:, None], fam.mult_len, axis=1)
+        rows[:, pos] = inv
+        ok &= fam.index_mult(rows) == target
+    return ok
+
+
+def _element_orders(fam, elems: np.ndarray, cap: int) -> np.ndarray:
+    """``nary_element_order`` of every element at once, with 0 for None:
+    all elements step together and each leaves the loop at its first
+    l with [cur, a, ..., a] = a (order l) or = cur (absorbed)."""
+    orders = np.zeros(len(elems), dtype=np.int64)
+    live, cur = np.arange(len(elems)), elems
+    for l in range(1, cap + 1):
+        if not live.size:
+            break
+        a = elems[live]
+        nxt = fam.index_mult(np.column_stack([cur] + [a] * (fam.mult_len - 1)))
+        back = nxt == a
+        orders[live[back]] = l
+        keep = ~back & (nxt != cur)
+        live, cur = live[keep], nxt[keep]
+    return orders
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """One family's checks beside closure and associativity.  The hooks look
+    the public formulas up when called, so those formulas are under test."""
+
+    #: pauli: arity 2, and an inverse times the element is the identity;
+    #: else arity >= 3, and querelements hold at every insertion position
+    binary: bool
+    claimed_order: Callable[[int, int], int]               # (n, q)
+    identity: Callable[[int, int], object] | None          # (n, q)
+    inverses: Callable[[int], tuple]     # (n,) -> formulas that must agree
+    #: (oracle, n, q, order, sampled, tol) -> dense deviation, None if not run
+    dense_check: Callable[..., float | None] | None
+    hist_cap: Callable[[int, int], int]                    # (order, q)
+    assoc_sampled: bool = False          # no exhaustive associativity budget
+    #: (n, q, rng, count) -> the seeded elements checked above element_cap
+    subset: Callable[..., list] | None = None
+
+
+_STRUCTURES = {
+    "pauli": _Structure(
+        binary=True, claimed_order=lambda n, q: 4 * q,
+        identity=lambda n, q: pauli_identity(q), inverses=lambda n: (pauli_inverse,),
+        dense_check=None, hist_cap=lambda order, q: 4 * q),
+    "elementary": _Structure(
+        binary=False, claimed_order=lambda n, q: 4 * q * (n - 1) + 1,
+        identity=None, inverses=lambda n: (), dense_check=None,
+        hist_cap=lambda order, q: 2 * order, assoc_sampled=True),
+    "full": _Structure(
+        binary=False, claimed_order=lambda n, q: 4 * q,
+        identity=lambda n, q: full_identity(n, q), inverses=lambda n: (full_querelement,),
+        # small enough to also lower every querelement tuple to matrices
+        dense_check=lambda oracle, n, q, order, sampled, tol: (
+            oracle.querelement_dense_check("full", n, q, tol=tol) if order <= 64 else None),
+        hist_cap=lambda order, q: 2 * order),
+    "het": _Structure(
+        binary=False, claimed_order=lambda n, q: het_order_claimed(n, q),
+        identity=lambda n, q: het_identity(n, q),
+        # the closed form exists at arity 3 only, and must equal the general one
+        inverses=lambda n: ((het_querelement, het_querelement_general) if n == 3
+                            else (het_querelement_general,)),
+        dense_check=lambda oracle, n, q, order, sampled, tol: (
+            oracle.het_querelement_inverse_check(q, tol=tol)
+            if n == 3 and not sampled else None),
+        hist_cap=lambda order, q: 4 * q, assoc_sampled=True,
+        subset=lambda n, q, rng, count: [
+            HetLabel(q, n, rng.integers(0, 4, size=n - 1), rng.integers(0, q, size=n - 1))
+            for _ in range(count)]),
+}
+
+
+def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
+                     mode: str, closure_budget: int, closure_samples: int,
+                     assoc_samples: int, assoc_budget: int = 0,
+                     element_cap: int | None = None,
+                     quer_samples: int = 0) -> StructureReport:
+    """Closure and associativity from the oracle; identity, inverse or
+    querelement rules and element orders as batched products of label
+    indices on the family's slot-table kernel."""
+    from . import oracle
+
+    spec = _STRUCTURES[family]
+    check_modulus(q)
+    if spec.binary:
+        n = 2
+    elif n < 3:
+        raise DomainError(f"arity must be >= 3, got {n}")
+    closure = oracle.closure_check(
+        family, n, q, mode=mode, budget=closure_budget,
+        samples=closure_samples, seed=seed, tol=tol,
+    )
+    assoc = oracle.assoc_check(
+        family, n, q, mode="sample" if spec.assoc_sampled else mode,
+        budget=0 if spec.assoc_sampled else assoc_budget,
+        samples=assoc_samples, seed=seed,
+    )
+
+    fam = oracle.family_context(family, n, q)
+    index = {lab: i for i, lab in enumerate(fam.labels)}
+    sampled = spec.subset is not None and fam.order > element_cap
+    elements = (spec.subset(n, q, np.random.default_rng(seed), quer_samples)
+                if sampled else fam.labels)
+    elems = np.array([index[a] for a in elements], dtype=np.int64)
+
+    e = None if spec.identity is None else spec.identity(n, q)
+    ident_ok = e is None or bool(_identity_holds(fam, index[e], elems).all())
+    quer_ok, quer_checked = None, 0
+    formulas = spec.inverses(n)
+    if formulas:
+        invs = [np.array([index[f(a)] for a in elements], dtype=np.int64)
+                for f in formulas]
+        target = index[e] if spec.binary else elems
+        quer_ok = (all(np.array_equal(invs[0], v) for v in invs[1:])
+                   and bool(_inverse_holds(fam, elems, invs[0], target).all()))
+        quer_checked = len(elems) * (1 if spec.binary else n)
+        dev = (spec.dense_check(oracle, n, q, fam.order, sampled, tol)
+               if spec.dense_check else None)
+        if dev is not None:
+            quer_ok = quer_ok and dev <= tol
+
+    orders, counts = np.unique(
+        _element_orders(fam, elems, spec.hist_cap(fam.order, q)), return_counts=True)
+    claimed = spec.claimed_order(n, q)
+    return StructureReport(
+        family=family, n=n, q=q, order=fam.order, paper_claimed_order=claimed,
+        order_matches_paper=fam.order == claimed,
+        identity=e.token() if e is not None and ident_ok else None,
+        closure=closure.passed, closure_exhaustive=closure.exhaustive,
+        closure_checked=closure.checked,
+        closure_max_deviation=closure.max_abs_deviation,
+        assoc=assoc.passed and ident_ok, assoc_exhaustive=assoc.exhaustive,
+        assoc_samples=assoc.checked,
+        querelement=quer_ok, querelement_checked=quer_checked,
+        order_histogram={str(o) if o else "none": c
+                         for o, c in zip(orders.tolist(), counts.tolist())},
+        sampled=sampled, seed=seed, tolerance=tol,
+    )
+
+
 def build_pauli_group(
     q: int,
     *,
@@ -523,42 +670,9 @@ def build_pauli_group(
     """Enumerate the binary group of phase-shifted sigma matrices and verify
     closure (against the dense oracle), identity, two-sided inverses, and
     associativity; emits the element-order histogram."""
-    from . import oracle
-
-    check_modulus(q)
-    labels = pauli_labels(q)
-    order = len(labels)
-
-    closure = oracle.closure_check(
-        "pauli", 2, q, mode=mode, budget=closure_budget,
-        samples=closure_samples, seed=seed, tol=tol,
-    )
-
-    e = pauli_identity(q)
-    ident_ok = all(pauli_mul(e, a) == a and pauli_mul(a, e) == a for a in labels)
-    inv_ok = all(
-        pauli_mul(a, pauli_inverse(a)) == e and pauli_mul(pauli_inverse(a), a) == e
-        for a in labels
-    )
-
-    assoc = oracle.assoc_check(
-        "pauli", 2, q, mode=mode, budget=assoc_budget,
-        samples=assoc_samples, seed=seed,
-    )
-
-    hist = _histogram(pauli_element_order(a) for a in labels)
-    return StructureReport(
-        family="pauli", n=2, q=q, order=order, paper_claimed_order=4 * q,
-        order_matches_paper=order == 4 * q,
-        identity=e.token() if ident_ok else None,
-        closure=closure.passed, closure_exhaustive=closure.exhaustive,
-        closure_checked=closure.checked,
-        closure_max_deviation=closure.max_abs_deviation,
-        assoc=assoc.passed and ident_ok, assoc_exhaustive=assoc.exhaustive,
-        assoc_samples=assoc.checked,
-        querelement=inv_ok, querelement_checked=order,
-        order_histogram=hist, sampled=False, seed=seed, tolerance=tol,
-    )
+    return _build_structure(
+        "pauli", 2, q, seed=seed, tol=tol, mode=mode, closure_budget=closure_budget,
+        closure_samples=closure_samples, assoc_budget=assoc_budget, assoc_samples=assoc_samples)
 
 
 def build_elementary_semigroup(
@@ -575,38 +689,9 @@ def build_elementary_semigroup(
     """Enumerate the n-ary semigroup with zero of phase-shifted elementary
     labels: 4q(n-1)+1 elements; closure oracle-checked, total associativity
     sampled on bracketings, no identity or querelement (zero absorbs)."""
-    from . import oracle
-
-    check_modulus(q)
-    if n < 3:
-        raise DomainError(f"arity must be >= 3, got {n}")
-    order = 4 * q * (n - 1) + 1
-
-    closure = oracle.closure_check(
-        "elementary", n, q, mode=mode, budget=closure_budget,
-        samples=closure_samples, seed=seed, tol=tol,
-    )
-    assoc = oracle.assoc_check(
-        "elementary", n, q, mode="sample", budget=0,
-        samples=assoc_samples, seed=seed,
-    )
-
-    labels = elementary_labels(n, q)
-    hist = _histogram(
-        nary_element_order(a, elementary_nary_mul, n, cap=2 * order) for a in labels
-    )
-    return StructureReport(
-        family="elementary", n=n, q=q, order=order,
-        paper_claimed_order=4 * q * (n - 1) + 1, order_matches_paper=True,
-        identity=None,
-        closure=closure.passed, closure_exhaustive=closure.exhaustive,
-        closure_checked=closure.checked,
-        closure_max_deviation=closure.max_abs_deviation,
-        assoc=assoc.passed, assoc_exhaustive=assoc.exhaustive,
-        assoc_samples=assoc.checked,
-        querelement=None, querelement_checked=0,
-        order_histogram=hist, sampled=False, seed=seed, tolerance=tol,
-    )
+    return _build_structure(
+        "elementary", n, q, seed=seed, tol=tol, mode=mode, closure_budget=closure_budget,
+        closure_samples=closure_samples, assoc_samples=assoc_samples)
 
 
 def build_full_group(
@@ -624,60 +709,9 @@ def build_full_group(
     """Enumerate the n-ary group of phase-shifted full labels (order 4q);
     verify closure against the dense oracle, the querelement of every element
     at every insertion position, and total associativity."""
-    from . import oracle
-
-    check_modulus(q)
-    if n < 3:
-        raise DomainError(f"arity must be >= 3, got {n}")
-    labels = full_labels(n, q)
-    order = len(labels)
-
-    closure = oracle.closure_check(
-        "full", n, q, mode=mode, budget=closure_budget,
-        samples=closure_samples, seed=seed, tol=tol,
-    )
-    assoc = oracle.assoc_check(
-        "full", n, q, mode=mode, budget=assoc_budget,
-        samples=assoc_samples, seed=seed,
-    )
-
-    quer_ok = True
-    quer_checked = 0
-    for a in labels:
-        qa = full_querelement(a)
-        for pos in range(n):
-            factors: list[FullLabel] = [a] * n
-            factors[pos] = qa
-            quer_checked += 1
-            if full_nary_mul(factors, n) != a:
-                quer_ok = False
-    if order <= 64:
-        # small enough to also lower every querelement tuple to matrices
-        dev = oracle.querelement_dense_check("full", n, q, tol=tol)
-        quer_ok = quer_ok and dev <= tol
-
-    e = full_identity(n, q)
-    ident_ok = all(
-        full_nary_mul([e] * (n - 1) + [a], n) == a
-        and full_nary_mul([a] + [e] * (n - 1), n) == a
-        for a in labels
-    )
-
-    hist = _histogram(
-        nary_element_order(a, full_nary_mul, n, cap=2 * order) for a in labels
-    )
-    return StructureReport(
-        family="full", n=n, q=q, order=order, paper_claimed_order=4 * q,
-        order_matches_paper=order == 4 * q,
-        identity=e.token() if ident_ok else None,
-        closure=closure.passed, closure_exhaustive=closure.exhaustive,
-        closure_checked=closure.checked,
-        closure_max_deviation=closure.max_abs_deviation,
-        assoc=assoc.passed and ident_ok, assoc_exhaustive=assoc.exhaustive,
-        assoc_samples=assoc.checked,
-        querelement=quer_ok, querelement_checked=quer_checked,
-        order_histogram=hist, sampled=False, seed=seed, tolerance=tol,
-    )
+    return _build_structure(
+        "full", n, q, seed=seed, tol=tol, mode=mode, closure_budget=closure_budget,
+        closure_samples=closure_samples, assoc_budget=assoc_budget, assoc_samples=assoc_samples)
 
 
 def build_het_group(
@@ -701,74 +735,7 @@ def build_het_group(
     ``element_cap`` the element-wise checks run on a seeded subset and the
     report is flagged as sampled.
     """
-    from . import oracle
-
-    check_modulus(q)
-    if n < 3:
-        raise DomainError(f"arity must be >= 3, got {n}")
-    order = het_order_enumerated(n, q)
-    sampled_elements = order > element_cap
-    rng = np.random.default_rng(seed)
-    if sampled_elements:
-        m = n - 1
-        subset = [
-            HetLabel(
-                q, n,
-                tuple(int(v) for v in rng.integers(0, 4, size=m)),
-                tuple(int(v) for v in rng.integers(0, q, size=m)),
-            )
-            for _ in range(quer_samples)
-        ]
-        hist_elems = subset
-    else:
-        subset = het_phased_labels(n, q)
-        hist_elems = subset
-
-    closure = oracle.closure_check(
-        "het", n, q, mode=mode, budget=cap,
-        samples=closure_samples, seed=seed, tol=tol,
-    )
-    assoc = oracle.assoc_check(
-        "het", n, q, mode="sample", budget=0,
-        samples=assoc_samples, seed=seed,
-    )
-
-    quer_ok = True
-    quer_checked = 0
-    for a in subset:
-        qa = het_querelement(a) if n == 3 else het_querelement_general(a)
-        if n == 3 and qa != het_querelement_general(a):
-            quer_ok = False
-        for pos in range(n):
-            factors: list[HetLabel] = [a] * n
-            factors[pos] = qa
-            quer_checked += 1
-            if het_nary_mul(factors, n) != a:
-                quer_ok = False
-    if n == 3 and not sampled_elements:
-        dev = oracle.het_querelement_inverse_check(q, tol=tol)
-        quer_ok = quer_ok and dev <= tol
-
-    e = het_identity(n, q)
-    ident_ok = all(
-        het_nary_mul([e] * (n - 1) + [a], n) == a
-        and het_nary_mul([a] + [e] * (n - 1), n) == a
-        for a in subset
-    )
-
-    hist = _histogram(
-        nary_element_order(a, het_nary_mul, n, cap=4 * q) for a in hist_elems
-    )
-    return StructureReport(
-        family="het", n=n, q=q, order=order,
-        paper_claimed_order=het_order_claimed(n, q),
-        order_matches_paper=order == het_order_claimed(n, q),
-        identity=e.token() if ident_ok else None,
-        closure=closure.passed, closure_exhaustive=closure.exhaustive,
-        closure_checked=closure.checked,
-        closure_max_deviation=closure.max_abs_deviation,
-        assoc=assoc.passed and ident_ok, assoc_exhaustive=assoc.exhaustive,
-        assoc_samples=assoc.checked,
-        querelement=quer_ok, querelement_checked=quer_checked,
-        order_histogram=hist, sampled=sampled_elements, seed=seed, tolerance=tol,
-    )
+    return _build_structure(
+        "het", n, q, seed=seed, tol=tol, mode=mode, closure_budget=cap,
+        closure_samples=closure_samples, assoc_samples=assoc_samples,
+        element_cap=element_cap, quer_samples=quer_samples)

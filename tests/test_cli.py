@@ -2,6 +2,7 @@
 traces, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -63,6 +64,15 @@ def test_cayley_dense_json(tmp_path):
     first = data["entries"][0]
     assert first["operands"] == ["s0r0", "s0r0"]
     assert first["dense"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+@pytest.mark.parametrize("family", ["elementary", "full", "het"])
+def test_cayley_arity_below_two_is_input_error(tmp_path, family, n):
+    out = tmp_path / "t.csv"
+    code = run(["cayley", "--family", family, "--n", n, "--q", "4", "--out", out])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_cayley_determinism(tmp_path):
@@ -128,6 +138,55 @@ def test_verify_determinism(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# byte-identity of the deterministic outputs (sha256)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("args, report_sha, junit_sha", [
+    (["--family", "pauli", "--q", "4"],
+     "bb0baa4dd231f3ebeb6665d74b689aa34402ccb6f057a33f3bcad3948e79240b",
+     "9dac79ddaebc08f8b46bdf8211054d51627cbab98d50683d3709ebdf096be9e9"),
+    (["--family", "elementary", "--n", "3", "--q", "4"],
+     "582e406293260ff4918c41454954565a3875314762ee2f1e7c377a54100c1499",
+     "57271ee15ac75e30f91bbef72cc04b89ba904f983618ec84a8934c2bc16e4fe2"),
+    (["--family", "full", "--n", "3", "--q", "8", "--mode", "sample", "--seed", "7"],
+     "03e8149c53d3818687b054c84c6edd46e34223797a1551f66a0a4daac9be9307",
+     "c2670c6cb9320e16e92ea585ca74d95a56ce40423d0c9e65a78ed60163b83300"),
+    (["--family", "het", "--n", "3", "--q", "4", "--mode", "sample"],
+     "4e8048a12fb8c77e6dbc6f56f46328e23a04987534b4a212d7f9c2c4f5d68cc4",
+     "3977469830abb8795d13278cbc46ab30f4b33ff42e2497d29cd512f951757b57"),
+], ids=["pauli-q4", "elementary-n3-q4", "full-n3-q8-seed7", "het-n3-q4-sample"])
+def test_verify_outputs_are_pinned(tmp_path, args, report_sha, junit_sha):
+    out, junit = tmp_path / "r.json", tmp_path / "j.xml"
+    assert run(["verify", *args, "--out", out, "--junit", junit]) == 0
+    assert (_sha256(out), _sha256(junit)) == (report_sha, junit_sha)
+
+
+@pytest.mark.parametrize("args, sha", [
+    (["--family", "pauli", "--q", "4"],
+     "dd6c5a2917eba84ef2e057c7356474fa9c865846c6eac11c20bfb947ecd862d2"),
+    (["--family", "full", "--n", "3", "--q", "4"],
+     "6f0b7e9dabade178563b1cb3efdb7423b75a7ea0f50c744e8760002b98696233"),
+    (["--family", "elementary", "--n", "3", "--q", "4"],
+     "b9eb41c79fd0a9f35e98113ddadd7e3ca0e9816c076be11161bacf6e64da4ab2"),
+    (["--family", "elementary", "--n", "2", "--q", "4"],
+     "db8b34df040b81ad3c766fded40a5a59375167e90f04d35d078af33bd0e82599"),
+    (["--family", "het", "--n", "2", "--q", "4"],
+     "d8ad3b0d2ac28e0a78ea47995ddcea2bac92d21a5bd3d1748498e195e323640b"),
+    (["--family", "pauli", "--q", "4", "--format", "dense-json"],
+     "758c624094ac55c413568c70f0890f8399e86a5eee2a5c6e6a9d2c1f6f846f98"),
+], ids=["pauli-q4", "full-n3-q4", "elementary-n3-q4", "elementary-n2-q4",
+        "het-n2-q4", "pauli-q4-dense-json"])
+def test_cayley_outputs_are_pinned(tmp_path, args, sha):
+    out = tmp_path / "table"
+    assert run(["cayley", *args, "--out", out]) == 0
+    assert _sha256(out) == sha
+
+
+# ---------------------------------------------------------------------------
 # param-mul
 
 
@@ -185,6 +244,9 @@ def test_param_mul_malformed_input(tmp_path):
     el = {"arity": 2, "blocks": [{"x0": 2.0, "x": [0.0, 0.0, 0.0]}]}
     bad3.write_text(json.dumps({"arity": 2, "tuples": [[el, el]]}))
     assert run(["param-mul", "--n", "2", "--in", bad3]) == 2
+    bad4 = tmp_path / "bad4.json"
+    bad4.write_text("[1, 2]")  # valid JSON, but not an object
+    assert run(["param-mul", "--n", "2", "--in", bad4]) == 2
 
 
 def test_param_mul_mixed_arities_is_input_error(tmp_path):

@@ -1,12 +1,14 @@
 """Phase-shifted finite structures: labels, multiplication rules, builders."""
 
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from polysigma import ArityError, DomainError, ValidationError
+from polysigma import ArityError, DomainError, ValidationError, phases
 from polysigma.matrices import sigma
+from polysigma.oracle import family_context
 from polysigma.phases import (
     Q12,
     ElementaryLabel,
@@ -487,6 +489,22 @@ def test_build_het_group_report():
     assert not r.sampled  # the whole label set was enumerated
 
 
+def test_build_het_group_sampled_elements_is_pinned():
+    # above element_cap the element-wise checks run on quer_samples seeded
+    # labels; the subset fixes every count and the histogram below
+    r = build_het_group(4, 4, mode="sample", closure_samples=2000,
+                        assoc_samples=2000, element_cap=1000, quer_samples=64)
+    assert r.to_dict() == {
+        "assoc": True, "assoc_exhaustive": False, "assoc_samples": 2000,
+        "closure": True, "closure_checked": 2000, "closure_exhaustive": False,
+        "closure_max_deviation": 0.0, "family": "het", "identity": "h0.0.0r0.0.0",
+        "n": 4, "order": 4096, "order_histogram": {"1": 7, "2": 24, "4": 33},
+        "order_matches_paper": False, "paper_claimed_order": 5308416,
+        "passed": True, "q": 4, "querelement": True, "querelement_checked": 256,
+        "sampled": True, "seed": 42, "tolerance": 1e-12,
+    }
+
+
 def test_structure_report_json_schema():
     r = build_full_group(3, 4)
     d = r.to_dict()
@@ -495,3 +513,74 @@ def test_structure_report_json_schema():
         assert key in d
     assert d["order_histogram"] == {k: v for k, v in sorted(d["order_histogram"].items())}
     assert r.to_json() == r.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the structure checks, batched over label indices, against the scalar
+# products, per element
+
+_SCALAR_MUL = {
+    "pauli": lambda labs, n: pauli_mul(*labs),
+    "elementary": elementary_nary_mul,
+    "full": full_nary_mul,
+    "het": het_nary_mul,
+}
+
+
+@pytest.mark.parametrize("family, n, q", [
+    ("pauli", 2, 4), ("pauli", 2, 12), ("elementary", 3, 4), ("elementary", 4, 8),
+    ("full", 3, 8), ("full", 4, 4), ("het", 3, 4), ("het", 4, 4),
+])
+def test_structure_checks_match_scalar_products(family, n, q):
+    fam = family_context(family, n, q)
+    spec = phases._STRUCTURES[family]
+    mult = _SCALAR_MUL[family]
+    rng = np.random.default_rng(11)
+    elems = (np.arange(fam.order) if fam.order <= 512
+             else rng.choice(fam.order, size=300, replace=False))
+    labels = [fam.labels[i] for i in elems]
+    index = {lab: i for i, lab in enumerate(fam.labels)}
+
+    cap = spec.hist_cap(fam.order, q)
+    if family == "pauli":
+        want = [pauli_element_order(a) for a in labels]
+    else:
+        want = [nary_element_order(a, mult, n, cap) or 0 for a in labels]
+    assert phases._element_orders(fam, elems, cap).tolist() == want
+
+    # the identity, and a label that is not one
+    for e in (0, 1):
+        ident = fam.labels[e]
+        want = [mult([ident] * (n - 1) + [a], n) == a
+                and mult([a] + [ident] * (n - 1), n) == a for a in labels]
+        assert phases._identity_holds(fam, e, elems).tolist() == want
+
+    # the public formulas, and a wrong one that must fail somewhere
+    wrong = lambda a: a  # noqa: E731
+    for formula in (*spec.inverses(n), wrong):
+        inv = [formula(a) for a in labels]
+        if spec.binary:
+            e = pauli_identity(q)
+            target = index[e]
+            want = [pauli_mul(a, b) == e and pauli_mul(b, a) == e
+                    for a, b in zip(labels, inv)]
+        else:
+            target = elems
+            want = [all(mult([b if t == pos else a for t in range(n)], n) == a
+                        for pos in range(n)) for a, b in zip(labels, inv)]
+        got = phases._inverse_holds(fam, elems, np.array([index[b] for b in inv]), target)
+        assert got.tolist() == want
+        assert all(want) == (formula is not wrong)
+
+
+@pytest.mark.parametrize("pick", [0, 1, 2])
+def test_structure_checks_read_every_position(pick):
+    # in these families a one-sided identity or a querelement at one
+    # position already implies the rest, so the kernel cases above cannot
+    # tell a skipped side or position; a stand-in product that returns
+    # factor `pick` can
+    fam = SimpleNamespace(mult_len=3, index_mult=lambda rows: rows[:, pick])
+    elems = np.arange(6)
+    assert phases._identity_holds(fam, 2, elems).tolist() == (elems == 2).tolist()
+    inv = np.array([0, 2, 1, 3, 5, 4])
+    assert phases._inverse_holds(fam, elems, inv, elems).tolist() == (inv == elems).tolist()
