@@ -51,13 +51,12 @@ def _cayley_rows(fam):
 
 
 def _cayley_row_count(family: str, n: int, q: int) -> int:
-    if family == "pauli":
-        return (4 * q) ** 2
-    if family == "full":
-        return (4 * q) ** n
+    n = oracle._arity(family, n)  # refuse n < 2 before counting
     if family == "elementary":
         return (4 * q * (n - 1) + 1) ** n
-    return phases.het_order_enumerated(n, q) ** n
+    if family == "het":
+        return phases.het_order_enumerated(n, q) ** n
+    return (4 * q) ** n
 
 
 def cmd_cayley(args) -> int:

@@ -145,16 +145,23 @@ def _slot_kernel(table: np.ndarray, slots: np.ndarray, parts: np.ndarray,
     return index_mult
 
 
+def _arity(name: str, n: int) -> int:
+    """Factor count of the family's product: 2 for pauli, else n >= 2."""
+    if name == "pauli":
+        return 2
+    if n < 2:
+        raise DomainError(f"arity must be >= 2 for family {name!r}, got {n}")
+    return n
+
+
 @functools.lru_cache(maxsize=1)
 def family_context(name: str, n: int, q: int) -> _Family:
     """Labels, dense forms and the slot-table kernel of one family.  The
     last context is cached, so one run's closure, associativity and
     structure checks lower the labels once."""
     check_modulus(q)
-    if name != "pauli" and n < 2:
-        raise DomainError(f"arity must be >= 2 for family {name!r}, got {n}")
+    n = _arity(name, n)
     if name == "pauli":
-        n = 2
         labels = phases.pauli_labels(q)
     elif name == "full":
         labels = phases.full_labels(n, q)
@@ -283,13 +290,17 @@ def _deviation(prod: np.ndarray, expected: np.ndarray,
     return worst, ((dev > tol).any(axis=(-2, -1)) if worst > tol else None)
 
 
-def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float) -> tuple[float, int | None]:
-    """Max deviation over tuple rows; returns (max_dev, first bad row or None)."""
+def _closure_on_tuples(fam: _Family, idx: np.ndarray,
+                       tol: float) -> tuple[float, int | None, np.ndarray | None]:
+    """Max deviation over tuple rows, the first bad row and its labels."""
     prod = fam.dense_stack[idx[:, 0]]
     for t in range(1, idx.shape[1]):
         prod = prod @ fam.dense_stack[idx[:, t]]
     worst, bad = _deviation(prod, fam.dense_stack[fam.index_mult(idx)], tol)
-    return worst, (None if bad is None else int(np.argmax(bad)))
+    if bad is None:
+        return worst, None, None
+    bad = int(np.argmax(bad))
+    return worst, bad, idx[bad]
 
 
 def _closure_on_range(fam: _Family, tuple_len: int, start: int, stop: int,
@@ -315,9 +326,11 @@ def _closure_on_range(fam: _Family, tuple_len: int, start: int, stop: int,
     return worst, bad, np.append(pref[bad // order], bad % order)
 
 
-def _assoc_on_tuples(fam: _Family, idx: np.ndarray) -> int | None:
-    """Compare all bracketings of a (2n-1)-factor product; exact in label space.
-    Returns the first disagreeing row or None."""
+def _assoc_on_tuples(fam: _Family,
+                     idx: np.ndarray) -> tuple[float, int | None, np.ndarray | None]:
+    """Compare all bracketings of a (2n-1)-factor product; exact in label
+    space, so the deviation is 0.0.  Returns the first disagreeing row and
+    its labels, or None."""
     n = fam.mult_len
     results = []
     for p in range(n):
@@ -330,13 +343,9 @@ def _assoc_on_tuples(fam: _Family, idx: np.ndarray) -> int | None:
     for p in range(1, n):
         agree &= results[0] == results[p]
     if agree.all():
-        return None
-    return int(np.argmax(~agree))
-
-
-def _witness(fam: _Family, row: np.ndarray, kind: str) -> dict:
-    ops = [fam.labels[int(i)].token() for i in row]
-    return {"kind": kind, "operands": ops}
+        return 0.0, None, None
+    bad = int(np.argmax(~agree))
+    return 0.0, bad, idx[bad]
 
 
 #: tuples per exhaustive chunk; bounds the chunk's working memory.
@@ -347,42 +356,57 @@ _CHUNK = 1 << 17
 _TALL_MNK = 1 << 15
 
 
-def _run_closure_exhaustive(fam: _Family, tuple_len: int, tol: float,
-                            workers: int) -> CheckResult:
+def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
+           seed: int | None, tol: float = DEFAULT_TOL,
+           workers: int | None = None) -> CheckResult:
+    """The gate of every closure and associativity check.  Over ``budget``
+    it refuses an exhaustive request rather than sample, and an auto request
+    samples.  It then checks every tuple in row-major chunks, or the seeded
+    sample as one chunk, and stops at the first failing tuple."""
+    w = worker_count(workers)
+    if mode not in ("auto", "exhaustive", "sample"):
+        raise DomainError(f"mode must be auto|exhaustive|sample, got {mode!r}")
+    closure = kind == "closure"
+    tuple_len = fam.mult_len if closure else 2 * fam.mult_len - 1
     total = fam.order ** tuple_len
-    checked = 0
-    worst = 0.0
+    exhaustive = mode == "exhaustive" or (mode == "auto" and total <= budget)
+    if exhaustive and total > budget:
+        raise BudgetExceededError(
+            f"{total} products exceed the budget of {budget}; switch to sampling"
+            if closure else f"{total} bracketing tuples exceed the budget of {budget}"
+        )
+    if not exhaustive:
+        sample = _sampled_tuples(fam.order, tuple_len, samples, seed)
+        total, chunks = samples, [(0, samples)]
+    elif closure:
+        runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.dense_stack.shape[-1] ** 3))
+        chunks = _chunk_ranges(total, runs * fam.order)
+    else:
+        chunks = _chunk_ranges(total, _CHUNK)
 
-    def work(rng: tuple[int, int]):
-        return rng, _closure_on_range(fam, tuple_len, *rng, tol)
+    def work(chunk: tuple[int, int]):
+        if exhaustive and closure:
+            return chunk, _closure_on_range(fam, tuple_len, *chunk, tol)
+        idx = _build_tuples(fam.order, tuple_len, *chunk) if exhaustive else sample
+        return chunk, (_closure_on_tuples(fam, idx, tol) if closure
+                       else _assoc_on_tuples(fam, idx))
 
-    runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.dense_stack.shape[-1] ** 3))
-    ranges = _chunk_ranges(total, runs * fam.order)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    results = pool.map(work, ranges) if pool else map(work, ranges)
+    checked, worst = 0, 0.0
+    pool = ThreadPoolExecutor(max_workers=w) if w > 1 else None
     try:
-        for (start, stop), (dev, bad, bad_row) in results:
+        for (start, stop), (dev, bad, row) in (pool.map if pool else map)(work, chunks):
             worst = max(worst, dev)
             if bad is not None:
-                witness = _witness(fam, bad_row, "closure")
-                witness["max_abs_deviation"] = worst
-                return CheckResult(False, True, start + bad + 1, total, worst, witness)
+                witness = {"kind": kind,
+                           "operands": [fam.labels[int(i)].token() for i in row]}
+                if closure:
+                    witness["max_abs_deviation"] = worst
+                return CheckResult(False, exhaustive, start + bad + 1, total, worst, witness)
             checked = stop
     finally:
         if pool:
             pool.shutdown(wait=False, cancel_futures=True)
-    return CheckResult(True, True, checked, total, worst, None)
-
-
-def _run_closure_sampled(fam: _Family, tuple_len: int, samples: int,
-                         seed: int, tol: float) -> CheckResult:
-    idx = _sampled_tuples(fam.order, tuple_len, samples, seed)
-    dev, bad = _closure_on_tuples(fam, idx, tol)
-    if bad is not None:
-        witness = _witness(fam, idx[bad], "closure")
-        witness["max_abs_deviation"] = dev
-        return CheckResult(False, False, bad + 1, samples, dev, witness)
-    return CheckResult(True, False, samples, samples, dev, None)
+    return CheckResult(True, exhaustive, checked, total, worst, None)
 
 
 def closure_check(family: str, n: int, q: int, *, mode: str = "auto",
@@ -392,19 +416,8 @@ def closure_check(family: str, n: int, q: int, *, mode: str = "auto",
     """Oracle check of the family's product: the symbolic result of every
     enumerated (or sampled) factor tuple must equal the literal dense product
     entrywise within ``tol``."""
-    fam = family_context(family, n, q)
-    tl = fam.mult_len
-    total = fam.order ** tl
-    w = worker_count(workers)
-    if mode not in ("auto", "exhaustive", "sample"):
-        raise DomainError(f"mode must be auto|exhaustive|sample, got {mode!r}")
-    if mode == "exhaustive" and total > budget:
-        raise BudgetExceededError(
-            f"{total} products exceed the budget of {budget}; switch to sampling"
-        )
-    if mode == "exhaustive" or (mode == "auto" and total <= budget):
-        return _run_closure_exhaustive(fam, tl, tol, w)
-    return _run_closure_sampled(fam, tl, samples, seed, tol)
+    return _check(family_context(family, n, q), "closure", mode=mode, budget=budget,
+                  samples=samples, seed=seed, tol=tol, workers=workers)
 
 
 def assoc_check(family: str, n: int, q: int, *, mode: str = "auto",
@@ -412,32 +425,28 @@ def assoc_check(family: str, n: int, q: int, *, mode: str = "auto",
                 seed: int = 42) -> CheckResult:
     """Total polyadic associativity: all bracketings of a (2n-1)-factor
     product agree.  Exact label arithmetic; no tolerance involved."""
+    return _check(family_context(family, n, q), "associativity", mode=mode,
+                  budget=budget, samples=samples, seed=seed)
+
+
+def _sweep(family: str, n: int, q: int, tuple_len: int, *, tol: float,
+           **gate) -> SweepSummary:
+    """The closure or associativity check whose tuples have ``tuple_len``
+    factors, as a summary; ``gate`` holds the mode and its settings."""
     fam = family_context(family, n, q)
-    tl = 2 * fam.mult_len - 1
-    total = fam.order ** tl
-    if mode not in ("auto", "exhaustive", "sample"):
-        raise DomainError(f"mode must be auto|exhaustive|sample, got {mode!r}")
-    run_exhaustive = mode == "exhaustive" or (mode == "auto" and total <= budget)
-    if mode == "exhaustive" and total > budget:
-        raise BudgetExceededError(
-            f"{total} bracketing tuples exceed the budget of {budget}"
+    kinds = {fam.mult_len: "closure", 2 * fam.mult_len - 1: "associativity"}
+    if tuple_len not in kinds:
+        raise DomainError(
+            f"tuple length must be {fam.mult_len} (closure) or "
+            f"{2 * fam.mult_len - 1} (associativity), got {tuple_len}"
         )
-    checked = 0
-    if run_exhaustive:
-        for start, stop in _chunk_ranges(total, _CHUNK):
-            idx = _build_tuples(fam.order, tl, start, stop)
-            bad = _assoc_on_tuples(fam, idx)
-            if bad is not None:
-                return CheckResult(False, True, start + bad + 1, total, 0.0,
-                                   _witness(fam, idx[bad], "associativity"))
-            checked = stop
-        return CheckResult(True, True, checked, total, 0.0, None)
-    idx = _sampled_tuples(fam.order, tl, samples, seed)
-    bad = _assoc_on_tuples(fam, idx)
-    if bad is not None:
-        return CheckResult(False, False, bad + 1, samples, 0.0,
-                           _witness(fam, idx[bad], "associativity"))
-    return CheckResult(True, False, samples, samples, 0.0, None)
+    res = _check(fam, kinds[tuple_len], tol=tol, **gate)
+    return SweepSummary(
+        family=family, n=fam.n, q=q, tuple_len=tuple_len, kind=kinds[tuple_len],
+        total=fam.order ** tuple_len, checked=res.checked, passed=res.passed,
+        max_abs_deviation=res.max_abs_deviation, witness=res.witness,
+        exhaustive=res.exhaustive, tolerance=tol, seed=gate["seed"],
+    )
 
 
 def exhaustive_sweep(family: str, n: int, q: int, tuple_len: int, *,
@@ -447,57 +456,18 @@ def exhaustive_sweep(family: str, n: int, q: int, tuple_len: int, *,
 
     ``tuple_len`` equal to the family's product arity runs the closure/oracle
     sweep; 2*arity-1 runs the bracketing (associativity) sweep.  Refuses with
-    BudgetExceededError when the product count exceeds ``budget``.
+    BudgetExceededError when the tuple count exceeds ``budget``.
     """
-    fam = family_context(family, n, q)
-    total = fam.order ** tuple_len
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} products exceed the budget of {budget}; switch to sampling"
-        )
-    if tuple_len == fam.mult_len:
-        res = closure_check(family, n, q, mode="exhaustive", budget=budget,
-                            tol=tol, workers=workers)
-        kind = "closure"
-    elif tuple_len == 2 * fam.mult_len - 1:
-        res = assoc_check(family, n, q, mode="exhaustive", budget=budget)
-        kind = "associativity"
-    else:
-        raise DomainError(
-            f"tuple length must be {fam.mult_len} (closure) or "
-            f"{2 * fam.mult_len - 1} (associativity), got {tuple_len}"
-        )
-    return SweepSummary(
-        family=family, n=fam.n, q=q, tuple_len=tuple_len, kind=kind,
-        total=res.total, checked=res.checked, passed=res.passed,
-        max_abs_deviation=res.max_abs_deviation, witness=res.witness,
-        exhaustive=True, tolerance=tol,
-    )
+    return _sweep(family, n, q, tuple_len, tol=tol, mode="exhaustive",
+                  budget=budget, samples=0, seed=None, workers=workers)
 
 
 def sampled_sweep(family: str, n: int, q: int, tuple_len: int, *,
                   samples: int = 100_000, seed: int = 42,
                   tol: float = DEFAULT_TOL) -> SweepSummary:
     """Seeded, stratified sampling variant of ``exhaustive_sweep``."""
-    fam = family_context(family, n, q)
-    if tuple_len == fam.mult_len:
-        res = closure_check(family, n, q, mode="sample", samples=samples,
-                            seed=seed, tol=tol)
-        kind = "closure"
-    elif tuple_len == 2 * fam.mult_len - 1:
-        res = assoc_check(family, n, q, mode="sample", samples=samples, seed=seed)
-        kind = "associativity"
-    else:
-        raise DomainError(
-            f"tuple length must be {fam.mult_len} or {2 * fam.mult_len - 1}, "
-            f"got {tuple_len}"
-        )
-    return SweepSummary(
-        family=family, n=fam.n, q=q, tuple_len=tuple_len, kind=kind,
-        total=fam.order ** tuple_len, checked=res.checked, passed=res.passed,
-        max_abs_deviation=res.max_abs_deviation, witness=res.witness,
-        exhaustive=False, tolerance=tol, seed=seed,
-    )
+    return _sweep(family, n, q, tuple_len, tol=tol, mode="sample", budget=0,
+                  samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

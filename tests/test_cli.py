@@ -68,11 +68,12 @@ def test_cayley_dense_json(tmp_path):
 
 @pytest.mark.parametrize("n", [1, 0, -3])
 @pytest.mark.parametrize("family", ["elementary", "full", "het"])
-def test_cayley_arity_below_two_is_input_error(tmp_path, family, n):
+def test_cayley_arity_below_two_is_input_error(tmp_path, capsys, family, n):
     out = tmp_path / "t.csv"
     code = run(["cayley", "--family", family, "--n", n, "--q", "4", "--out", out])
     assert code == 2
     assert not out.exists()
+    assert f"arity must be >= 2 for family '{family}', got {n}" in capsys.readouterr().err
 
 
 def test_cayley_determinism(tmp_path):

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysigma import BudgetExceededError, DomainError
+from polysigma import BudgetExceededError, DomainError, oracle
 from polysigma.matrices import sigma
 from polysigma.oracle import (
     SweepSummary,
     VerificationCase,
-    _run_closure_exhaustive,
+    assoc_check,
     closure_check,
     exhaustive_sweep,
     family_context,
@@ -146,6 +146,8 @@ def test_exhaustive_sweep_budget_refusal():
 def test_exhaustive_sweep_bad_tuple_len():
     with pytest.raises(DomainError):
         exhaustive_sweep("full", 3, 4, 4)
+    with pytest.raises(DomainError):
+        sampled_sweep("full", 3, 4, 4)
 
 
 def test_exhaustive_sweep_deterministic():
@@ -160,6 +162,9 @@ def test_exhaustive_sweep_worker_partition_invariance(monkeypatch):
     monkeypatch.setenv("POLYSIGMA_THREADS", "2")
     alt = exhaustive_sweep("full", 3, 4, 3, workers=2)
     assert base.to_json() == alt.to_json()
+    one = exhaustive_sweep("full", 3, 4, 5, workers=1)
+    two = exhaustive_sweep("full", 3, 4, 5, workers=2)
+    assert one.to_json() == two.to_json()
 
 
 def test_sampled_sweep_deterministic():
@@ -177,6 +182,20 @@ def test_closure_check_sample_covers_labels():
 def test_assoc_sweep_full():
     s = exhaustive_sweep("full", 3, 4, 5)
     assert s.kind == "associativity" and s.passed and s.total == 16 ** 5
+
+
+@pytest.mark.parametrize("check, refusal", [
+    (closure_check, r"^256 products exceed the budget of 100; switch to sampling$"),
+    (assoc_check, r"^4096 bracketing tuples exceed the budget of 100$"),
+], ids=["closure", "associativity"])
+def test_check_mode_and_budget_gate(check, refusal):
+    with pytest.raises(DomainError, match="mode must be"):
+        check("pauli", 2, 4, mode="every")
+    with pytest.raises(BudgetExceededError, match=refusal):
+        check("pauli", 2, 4, mode="exhaustive", budget=100)
+    res = check("pauli", 2, 4, mode="auto", budget=100, samples=50, seed=3)
+    assert res.passed and not res.exhaustive
+    assert res.checked == res.total == 50
 
 
 def test_worker_count_env(monkeypatch):
@@ -259,30 +278,45 @@ def test_index_mult_matches_label_mult():
         assert het_index(res.js, res.rs, 4) == g
 
 
-def test_closure_sweep_negative_control():
+def _doctor(monkeypatch, family, n, q, results=None, **changes):
+    """Make the oracle checks see the family's context with ``changes``
+    applied and, if given, every index_mult result passed through
+    ``results(rows, products)``."""
+    fam = family_context(family, n, q)
+    if results is not None:
+        changes["index_mult"] = lambda idx, every_last=False: results(
+            idx, fam.index_mult(idx, every_last))
+    bad = dataclasses.replace(fam, **changes)
+    monkeypatch.setattr(oracle, "family_context", lambda *args: bad)
+
+
+def _five_to_six(rows, products):
+    return np.where(products == 5, 6, products)
+
+
+def test_closure_sweep_negative_control(monkeypatch):
     # corrupting one label's dense form must fail the sweep with a
     # deterministic first-failure witness
-    fam = family_context("pauli", 2, 4)
-    stack = fam.dense_stack.copy()
+    stack = family_context("pauli", 2, 4).dense_stack.copy()
     stack[3] = -stack[3]
-    bad = dataclasses.replace(fam, dense_stack=stack)
-    r1 = _run_closure_exhaustive(bad, 2, 1e-12, 1)
-    r2 = _run_closure_exhaustive(bad, 2, 1e-12, 1)
+    _doctor(monkeypatch, "pauli", 2, 4, dense_stack=stack)
+    r1 = closure_check("pauli", 2, 4, mode="exhaustive", tol=1e-12, workers=1)
+    r2 = closure_check("pauli", 2, 4, mode="exhaustive", tol=1e-12, workers=1)
     assert not r1.passed
     assert r1.witness is not None and r1.checked < r1.total
     assert r1.witness == r2.witness and r1.checked == r2.checked
 
 
-def test_closure_sweep_negative_control_prefix_path():
+def test_closure_sweep_negative_control_prefix_path(monkeypatch):
     # het(3, 4) runs the shared-prefix chunk path; label 100 first shows up as
     # the label result of tuple 352 = (0, 1, 96), so the sweep must stop
     # there with that tuple, in row-major order, as its witness
-    fam = family_context("het", 3, 4)
-    stack = fam.dense_stack.copy()
+    stack = family_context("het", 3, 4).dense_stack.copy()
     stack[100] = -stack[100]
-    bad = dataclasses.replace(fam, dense_stack=stack)
+    _doctor(monkeypatch, "het", 3, 4, dense_stack=stack)
     for workers in (1, 2):
-        res = _run_closure_exhaustive(bad, 3, 1e-12, workers)
+        res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12,
+                            workers=workers)
         assert not res.passed and res.exhaustive
         assert res.checked == 353 and res.total == 256 ** 3
         assert res.witness == {
@@ -290,6 +324,48 @@ def test_closure_sweep_negative_control_prefix_path():
             "operands": ["h0.0r0.0", "h0.0r0.1", "h1.2r0.0"],
             "max_abs_deviation": 2.0,
         }
+
+
+def test_closure_sample_negative_control(monkeypatch):
+    # full(3, 4) products that should be label 5 reported as label 6: the
+    # eighth seeded tuple is the first whose dense product disagrees
+    _doctor(monkeypatch, "full", 3, 4, results=_five_to_six)
+    res = closure_check("full", 3, 4, mode="sample", samples=2000, seed=7)
+    assert (res.passed, res.exhaustive, res.checked, res.total) == (False, False, 8, 2000)
+    assert res.witness == {
+        "kind": "closure",
+        "operands": ["f1r0", "f1r1", "f1r0"],
+        "max_abs_deviation": 2 ** 0.5,
+    }
+
+
+@pytest.mark.parametrize("chunk", [1 << 17, 82, 81, 64])
+def test_assoc_exhaustive_negative_control(monkeypatch, chunk):
+    # the same doctored products break associativity first at tuple 82 in
+    # row-major order, whether that tuple ends a chunk (82), starts the
+    # second one (81), or lies inside it (64).  Small chunks stand in for a
+    # failure past the first 2^17 tuples: every product row also occurs as
+    # the last three factors of a tuple led by label 0, so a doctored
+    # product is met long before tuple 2^17.
+    _doctor(monkeypatch, "full", 3, 4, results=_five_to_six)
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    res = assoc_check("full", 3, 4, mode="exhaustive")
+    assert (res.passed, res.exhaustive, res.checked, res.total) == (False, True, 82, 16 ** 5)
+    assert res.max_abs_deviation == 0.0
+    assert res.witness == {
+        "kind": "associativity",
+        "operands": ["f0r0", "f0r0", "f0r0", "f1r1", "f0r1"],
+    }
+
+
+def test_assoc_sample_negative_control(monkeypatch):
+    _doctor(monkeypatch, "full", 3, 4, results=_five_to_six)
+    res = assoc_check("full", 3, 4, mode="sample", samples=2000, seed=7)
+    assert (res.passed, res.exhaustive, res.checked, res.total) == (False, False, 5, 2000)
+    assert res.witness == {
+        "kind": "associativity",
+        "operands": ["f3r1", "f1r0", "f1r1", "f1r0", "f2r3"],
+    }
 
 
 def test_exhaustive_closure_worst_deviation_is_pinned():
