@@ -173,9 +173,6 @@ class BlockCyclicMatrix:
             raise DomainError(f"off-pattern entries up to {stray} exceed tolerance {tol}")
         return cls(arity, tuple(blocks))
 
-    def scaled(self, factor: complex) -> "BlockCyclicMatrix":
-        return BlockCyclicMatrix(self.arity, tuple(factor * b for b in self.blocks))
-
     def allclose(self, other: "BlockCyclicMatrix", tol: float = DEFAULT_TOL) -> bool:
         if self.arity != other.arity:
             return False

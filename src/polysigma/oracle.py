@@ -16,7 +16,7 @@ import json
 import os
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,13 +66,11 @@ def lower(obj) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # family plumbing
 #
-# A label is a vector of m slots over G_q + {0}, the phase-shifted sigma
-# matrices e^(2*pi*i*r/q)*sigma_j coded j*q + r plus an absorbing zero coded
-# 4q (Post's covering group).  Pauli and full labels have one slot,
-# heterogeneous labels n-1 free slots, elementary labels one nonzero slot.
-# A product uses the cyclic shift of ``het_nary_mul``: result slot s is the
-# product over factors t of factor t's slot (s + t) mod m, so zero factors and
-# non-chaining elementary tuples fall out of the zero row and column.
+# A label is a vector of m slot codes over G_q + {0} (see ``phases``), lowered
+# by ``phases.lower_slots``.  A product uses the cyclic shift of
+# ``het_nary_mul``: result slot s is the product over factors t of factor t's
+# slot (s + t) mod m, so zero factors and non-chaining elementary tuples fall
+# out of the zero row and column.
 
 
 @dataclass(frozen=True)
@@ -98,16 +96,6 @@ def _cayley_table(q: int) -> np.ndarray:
     table[:-1, :-1] = (word[..., 0] * q
                        + (r[:, None] + r[None, :] + (q // 4) * word[..., 1]) % q)
     return table
-
-
-def _label_slots(lab, m: int, q: int) -> list[int]:
-    """The m slot codes of one label."""
-    if isinstance(lab, phases.HetLabel):
-        return [j * q + r for j, r in zip(lab.js, lab.rs)]
-    slots = [4 * q] * m
-    if not isinstance(lab, phases.ZeroLabel):
-        slots[getattr(lab, "k", 1) - 1] = lab.j * q + lab.r  # elementary: slot k
-    return slots
 
 
 def _slot_index(name: str, q: int, m: int) -> tuple[np.ndarray, np.ufunc]:
@@ -171,13 +159,12 @@ def family_context(name: str, n: int, q: int) -> _Family:
         labels = phases.het_phased_labels(n, q)
     else:
         raise DomainError(f"unknown family {name!r}; expected one of {_FAMILIES}")
-    m = n - 1 if name in ("elementary", "het") else 1
-    slots = np.array([_label_slots(lab, m, q) for lab in labels], dtype=np.int64).T
-    dense = np.stack([lab.dense() for lab in labels])
+    slots = np.array([lab.slots() for lab in labels], dtype=np.int64)
+    dense = phases.lower_slots(slots, n, q)
     dense.flags.writeable = False
     return _Family(name, n, q, len(labels), n, tuple(labels), dense,
-                   _slot_kernel(_cayley_table(q), np.ascontiguousarray(slots),
-                                *_slot_index(name, q, m)))
+                   _slot_kernel(_cayley_table(q), np.ascontiguousarray(slots.T),
+                                *_slot_index(name, q, slots.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +188,7 @@ class SweepSummary:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family, "n": self.n, "q": self.q,
-            "tuple_len": self.tuple_len, "kind": self.kind,
-            "total": self.total, "checked": self.checked,
-            "passed": self.passed,
-            "max_abs_deviation": self.max_abs_deviation,
-            "witness": self.witness, "exhaustive": self.exhaustive,
-            "tolerance": self.tolerance, "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -350,6 +329,8 @@ def _assoc_on_tuples(fam: _Family,
 
 #: tuples per exhaustive chunk; bounds the chunk's working memory.
 _CHUNK = 1 << 17
+#: rows per slice of a seeded sample; bounds a slice's working memory.
+_SAMPLE_SLICE = 1 << 14
 #: bound on m*n*k of one tall product.  OpenBLAS 0.3 splits a complex GEMM
 #: of about 2^16 m*n*k over two threads; on two cores that doubled CPU time
 #: and saved no wall time.
@@ -362,7 +343,7 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     """The gate of every closure and associativity check.  Over ``budget``
     it refuses an exhaustive request rather than sample, and an auto request
     samples.  It then checks every tuple in row-major chunks, or the seeded
-    sample as one chunk, and stops at the first failing tuple."""
+    sample in slices, and stops at the first failing tuple."""
     w = worker_count(workers)
     if mode not in ("auto", "exhaustive", "sample"):
         raise DomainError(f"mode must be auto|exhaustive|sample, got {mode!r}")
@@ -377,7 +358,7 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
         )
     if not exhaustive:
         sample = _sampled_tuples(fam.order, tuple_len, samples, seed)
-        total, chunks = samples, [(0, samples)]
+        total, chunks = samples, _chunk_ranges(samples, _SAMPLE_SLICE)
     elif closure:
         runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.dense_stack.shape[-1] ** 3))
         chunks = _chunk_ranges(total, runs * fam.order)
@@ -387,7 +368,8 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     def work(chunk: tuple[int, int]):
         if exhaustive and closure:
             return chunk, _closure_on_range(fam, tuple_len, *chunk, tol)
-        idx = _build_tuples(fam.order, tuple_len, *chunk) if exhaustive else sample
+        idx = (_build_tuples(fam.order, tuple_len, *chunk) if exhaustive
+               else sample[slice(*chunk)])
         return chunk, (_closure_on_tuples(fam, idx, tol) if closure
                        else _assoc_on_tuples(fam, idx))
 
@@ -474,39 +456,32 @@ def sampled_sweep(family: str, n: int, q: int, tuple_len: int, *,
 # targeted dense checks used by the structure builders
 
 
-def querelement_dense_check(family: str, n: int, q: int, *, tol: float = DEFAULT_TOL) -> float:
+def querelement_dense_check(family: str, n: int, q: int) -> float:
     """Max deviation of the querelement defining relation, lowered to dense
     matrices, over every element and insertion position."""
     if family == "full":
-        labels = phases.full_labels(n, q)
         quer = phases.full_querelement
-        mult_len = n
     elif family == "het":
-        labels = phases.het_phased_labels(n, q)
         quer = phases.het_querelement if n == 3 else phases.het_querelement_general
-        mult_len = n
     else:
         raise DomainError(f"querelement check supports full|het, got {family!r}")
+    fam = family_context(family, n, q)
+    elems = fam.dense_stack
+    quers = phases.lower_slots([quer(a).slots() for a in fam.labels], fam.n, q)
     worst = 0.0
-    for a in labels:
-        da = a.dense()
-        dq = quer(a).dense()
-        for pos in range(mult_len):
-            prod = np.eye(da.shape[0], dtype=np.complex128)
-            for t in range(mult_len):
-                prod = prod @ (dq if t == pos else da)
-            worst = max(worst, float(np.abs(prod - da).max()))
+    for pos in range(fam.mult_len):
+        prod = functools.reduce(
+            np.matmul, [quers if t == pos else elems for t in range(fam.mult_len)])
+        worst = max(worst, float(np.abs(prod - elems).max()))
     return worst
 
 
-def het_querelement_inverse_check(q: int, *, tol: float = DEFAULT_TOL) -> float:
+def het_querelement_inverse_check(q: int) -> float:
     """Max deviation between the ternary heterogeneous querelement and the
     dense matrix inverse, over the full enumerated label set."""
-    worst = 0.0
-    for a in phases.het_phased_labels(3, q):
-        inv = np.linalg.inv(a.dense())
-        worst = max(worst, float(np.abs(phases.het_querelement(a).dense() - inv).max()))
-    return worst
+    fam = family_context("het", 3, q)
+    quers = phases.lower_slots([phases.het_querelement(a).slots() for a in fam.labels], 3, q)
+    return float(np.abs(quers - np.linalg.inv(fam.dense_stack)).max())
 
 
 # ---------------------------------------------------------------------------

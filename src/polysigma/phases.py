@@ -12,16 +12,17 @@ shift q/4.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ArityError, DomainError, ValidationError
-from .matrices import DEFAULT_TOL, BlockCyclicMatrix, sigma
+from .matrices import DEFAULT_TOL, sigma
 from .sigma_algebra import levi_civita, mul_sigma_indices, reduce_sigma_word
 
 #: the twelve admissible phase moduli.
@@ -58,12 +59,50 @@ def levi_civita_phase(k: int, l: int, m: int, q: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # labels
+#
+# A label is a vector of m slot codes over G_q + {0}, the phase-shifted sigma
+# matrices e^(2*pi*i*r/q)*sigma_j coded j*q + r plus an absorbing zero coded
+# 4q (Post's covering group).  Pauli and full labels have one slot,
+# heterogeneous labels n-1 free slots, elementary labels one nonzero slot.
+
+
+@functools.cache
+def _block_table(q: int) -> np.ndarray:
+    """(4q+1, 2, 2) read-only blocks: code j*q + r holds
+    e^(2*pi*i*r/q) * sigma_j, the absorbing code 4q a zero block."""
+    table = np.zeros((4 * q + 1, 2, 2), dtype=np.complex128)
+    for j in range(4):
+        for r in range(q):
+            table[j * q + r] = root_of_unity(r, q) * sigma(j)
+    table.flags.writeable = False
+    return table
+
+
+def lower_slots(codes, n: int, q: int) -> np.ndarray:
+    """Dense forms of the labels with slot codes ``codes`` (..., n-1): slot s
+    is the 2x2 block at cyclic block position (s, s+1).  A single slot
+    (..., 1) fills every block."""
+    m = n - 1
+    blocks = _block_table(q)[np.asarray(codes)]
+    lead = blocks.shape[:-3]
+    out = np.zeros(lead + (m, m, 2, 2), dtype=np.complex128)
+    s = np.arange(m)
+    out[..., s, (s + 1) % m, :, :] = blocks
+    return out.swapaxes(-3, -2).reshape(lead + (2 * m, 2 * m))
+
+
+class _Label:
+    """A label lowers through its slot codes."""
+
+    def dense(self) -> np.ndarray:
+        return lower_slots(self.slots(), self.n, self.q)
 
 
 @dataclass(frozen=True)
-class PauliLabel:
+class PauliLabel(_Label):
     """Phase-shifted sigma matrix e^(2*pi*i*r/q) * sigma_j."""
 
+    n: ClassVar[int] = 2  # binary: one 2x2 block
     q: int
     j: int
     r: int
@@ -74,15 +113,15 @@ class PauliLabel:
         if not 0 <= self.r < self.q:
             raise ValidationError(f"phase index must be 0..{self.q - 1}, got {self.r}")
 
-    def dense(self) -> np.ndarray:
-        return root_of_unity(self.r, self.q) * sigma(self.j)
+    def slots(self) -> tuple[int, ...]:
+        return (self.j * self.q + self.r,)
 
     def token(self) -> str:
         return f"s{self.j}r{self.r}"
 
 
 @dataclass(frozen=True)
-class ElementaryLabel:
+class ElementaryLabel(_Label):
     """Phase-shifted elementary Sigma matrix: one block e^(2*pi*i*r/q)*sigma_j
     at cyclic position k."""
 
@@ -100,35 +139,31 @@ class ElementaryLabel:
         if not 0 <= self.r < self.q:
             raise ValidationError(f"phase index must be 0..{self.q - 1}, got {self.r}")
 
-    def dense(self) -> np.ndarray:
-        m = self.n - 1
-        out = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-        i = self.k - 1
-        c = (i + 1) % m
-        out[2 * i:2 * i + 2, 2 * c:2 * c + 2] = root_of_unity(self.r, self.q) * sigma(self.j)
-        return out
+    def slots(self) -> tuple[int, ...]:
+        codes = [4 * self.q] * (self.n - 1)
+        codes[self.k - 1] = self.j * self.q + self.r
+        return tuple(codes)
 
     def token(self) -> str:
         return f"e{self.j}k{self.k}r{self.r}"
 
 
 @dataclass(frozen=True)
-class ZeroLabel:
+class ZeroLabel(_Label):
     """The adjoined absorbing zero of the elementary semigroup."""
 
     q: int
     n: int
 
-    def dense(self) -> np.ndarray:
-        m = self.n - 1
-        return np.zeros((2 * m, 2 * m), dtype=np.complex128)
+    def slots(self) -> tuple[int, ...]:
+        return (4 * self.q,) * (self.n - 1)
 
     def token(self) -> str:
         return "Z"
 
 
 @dataclass(frozen=True)
-class FullLabel:
+class FullLabel(_Label):
     """Phase-shifted full Sigma matrix: e^(2*pi*i*r/q)*sigma_j on every block."""
 
     q: int
@@ -142,16 +177,15 @@ class FullLabel:
         if not 0 <= self.r < self.q:
             raise ValidationError(f"phase index must be 0..{self.q - 1}, got {self.r}")
 
-    def dense(self) -> np.ndarray:
-        ph = root_of_unity(self.r, self.q)
-        return BlockCyclicMatrix(self.n, (ph * sigma(self.j),) * (self.n - 1)).dense()
+    def slots(self) -> tuple[int, ...]:
+        return (self.j * self.q + self.r,)
 
     def token(self) -> str:
         return f"f{self.j}r{self.r}"
 
 
 @dataclass(frozen=True)
-class HetLabel:
+class HetLabel(_Label):
     """Element-wise phase-shifted heterogeneous Sigma matrix: block k carries
     e^(2*pi*i*rs[k]/q) * sigma_(js[k])."""
 
@@ -173,11 +207,8 @@ class HetLabel:
             if not 0 <= r < self.q:
                 raise ValidationError(f"phase index must be 0..{self.q - 1}, got {r}")
 
-    def dense(self) -> np.ndarray:
-        blocks = tuple(
-            root_of_unity(r, self.q) * sigma(j) for j, r in zip(self.js, self.rs)
-        )
-        return BlockCyclicMatrix(self.n, blocks).dense()
+    def slots(self) -> tuple[int, ...]:
+        return tuple(j * self.q + r for j, r in zip(self.js, self.rs))
 
     def token(self) -> str:
         js = ".".join(str(j) for j in self.js)
@@ -473,29 +504,7 @@ class StructureReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "q": self.q,
-            "order": self.order,
-            "paper_claimed_order": self.paper_claimed_order,
-            "order_matches_paper": self.order_matches_paper,
-            "identity": self.identity,
-            "closure": self.closure,
-            "closure_exhaustive": self.closure_exhaustive,
-            "closure_checked": self.closure_checked,
-            "closure_max_deviation": self.closure_max_deviation,
-            "assoc": self.assoc,
-            "assoc_exhaustive": self.assoc_exhaustive,
-            "assoc_samples": self.assoc_samples,
-            "querelement": self.querelement,
-            "querelement_checked": self.querelement_checked,
-            "order_histogram": dict(sorted(self.order_histogram.items())),
-            "sampled": self.sampled,
-            "passed": self.passed,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
+        return dict(asdict(self), passed=self.passed)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -520,9 +529,10 @@ def _inverse_holds(fam, elems: np.ndarray, inv: np.ndarray, target) -> np.ndarra
 
 
 def _element_orders(fam, elems: np.ndarray, cap: int) -> np.ndarray:
-    """``nary_element_order`` of every element at once, with 0 for None:
-    all elements step together and each leaves the loop at its first
-    l with [cur, a, ..., a] = a (order l) or = cur (absorbed)."""
+    """``nary_element_order`` of every element at once, with 0 for an
+    absorbed element: all elements step together and each leaves the loop at
+    its first l with [cur, a, ..., a] = a (order l) or = cur (absorbed).  An
+    element still live after ``cap`` steps is an error, not an absorbed one."""
     orders = np.zeros(len(elems), dtype=np.int64)
     live, cur = np.arange(len(elems)), elems
     for l in range(1, cap + 1):
@@ -534,6 +544,8 @@ def _element_orders(fam, elems: np.ndarray, cap: int) -> np.ndarray:
         orders[live[back]] = l
         keep = ~back & (nxt != cur)
         live, cur = live[keep], nxt[keep]
+    if live.size:
+        raise AssertionError(f"{live.size} element orders exceed the cap {cap}")
     return orders
 
 
@@ -548,7 +560,7 @@ class _Structure:
     claimed_order: Callable[[int, int], int]               # (n, q)
     identity: Callable[[int, int], object] | None          # (n, q)
     inverses: Callable[[int], tuple]     # (n,) -> formulas that must agree
-    #: (oracle, n, q, order, sampled, tol) -> dense deviation, None if not run
+    #: (oracle, n, q, order, sampled) -> dense deviation, None if not run
     dense_check: Callable[..., float | None] | None
     hist_cap: Callable[[int, int], int]                    # (order, q)
     assoc_sampled: bool = False          # no exhaustive associativity budget
@@ -569,8 +581,8 @@ _STRUCTURES = {
         binary=False, claimed_order=lambda n, q: 4 * q,
         identity=lambda n, q: full_identity(n, q), inverses=lambda n: (full_querelement,),
         # small enough to also lower every querelement tuple to matrices
-        dense_check=lambda oracle, n, q, order, sampled, tol: (
-            oracle.querelement_dense_check("full", n, q, tol=tol) if order <= 64 else None),
+        dense_check=lambda oracle, n, q, order, sampled: (
+            oracle.querelement_dense_check("full", n, q) if order <= 64 else None),
         hist_cap=lambda order, q: 2 * order),
     "het": _Structure(
         binary=False, claimed_order=lambda n, q: het_order_claimed(n, q),
@@ -578,9 +590,8 @@ _STRUCTURES = {
         # the closed form exists at arity 3 only, and must equal the general one
         inverses=lambda n: ((het_querelement, het_querelement_general) if n == 3
                             else (het_querelement_general,)),
-        dense_check=lambda oracle, n, q, order, sampled, tol: (
-            oracle.het_querelement_inverse_check(q, tol=tol)
-            if n == 3 and not sampled else None),
+        dense_check=lambda oracle, n, q, order, sampled: (
+            oracle.het_querelement_inverse_check(q) if n == 3 and not sampled else None),
         hist_cap=lambda order, q: 4 * q, assoc_sampled=True,
         subset=lambda n, q, rng, count: [
             HetLabel(q, n, rng.integers(0, 4, size=n - 1), rng.integers(0, q, size=n - 1))
@@ -632,7 +643,7 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
         quer_ok = (all(np.array_equal(invs[0], v) for v in invs[1:])
                    and bool(_inverse_holds(fam, elems, invs[0], target).all()))
         quer_checked = len(elems) * (1 if spec.binary else n)
-        dev = (spec.dense_check(oracle, n, q, fam.order, sampled, tol)
+        dev = (spec.dense_check(oracle, n, q, fam.order, sampled)
                if spec.dense_check else None)
         if dev is not None:
             quer_ok = quer_ok and dev <= tol

@@ -159,7 +159,11 @@ def _sha256(path):
     (["--family", "het", "--n", "3", "--q", "4", "--mode", "sample"],
      "4e8048a12fb8c77e6dbc6f56f46328e23a04987534b4a212d7f9c2c4f5d68cc4",
      "3977469830abb8795d13278cbc46ab30f4b33ff42e2497d29cd512f951757b57"),
-], ids=["pauli-q4", "elementary-n3-q4", "full-n3-q8-seed7", "het-n3-q4-sample"])
+    (["--family", "het", "--n", "4", "--q", "8"],
+     "23992fdacaf45ce8cdd5eefd70add0d846c676e3b6dc8886ba1b0a0776b7ee80",
+     "b3be602845808dabd2752400b834d984ab317c045541a99f4697c340f8373677"),
+], ids=["pauli-q4", "elementary-n3-q4", "full-n3-q8-seed7", "het-n3-q4-sample",
+        "het-n4-q8"])
 def test_verify_outputs_are_pinned(tmp_path, args, report_sha, junit_sha):
     out, junit = tmp_path / "r.json", tmp_path / "j.xml"
     assert run(["verify", *args, "--out", out, "--junit", junit]) == 0

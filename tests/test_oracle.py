@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysigma import BudgetExceededError, DomainError, oracle
-from polysigma.matrices import sigma
+from polysigma import BudgetExceededError, DomainError, oracle, phases
+from polysigma.matrices import BlockCyclicMatrix, sigma
 from polysigma.oracle import (
     SweepSummary,
     VerificationCase,
@@ -28,6 +28,7 @@ from polysigma.oracle import (
 )
 from polysigma.phases import (
     Q12,
+    ElementaryLabel,
     FullLabel,
     HetLabel,
     PauliLabel,
@@ -44,6 +45,7 @@ from polysigma.phases import (
     pauli_index,
     pauli_labels,
     pauli_mul,
+    root_of_unity,
 )
 from polysigma.su2 import PolyadicSU2Element, SU2Params
 
@@ -80,6 +82,40 @@ def test_lower_zero_and_element(rng):
     assert_close(lower(e), e.matrix().dense(), 0.0)
     with pytest.raises(DomainError):
         lower("not a label")
+
+
+def _reference_dense(lab, n, q):
+    """A label's dense form, built block by block without the slot codes."""
+    d = 2 * (n - 1)
+    if isinstance(lab, ZeroLabel):
+        return np.zeros((d, d), dtype=np.complex128)
+    if isinstance(lab, ElementaryLabel):
+        out = np.zeros((d, d), dtype=np.complex128)
+        i, c = lab.k - 1, lab.k % (n - 1)
+        out[2 * i:2 * i + 2, 2 * c:2 * c + 2] = root_of_unity(lab.r, q) * sigma(lab.j)
+        return out
+    if isinstance(lab, HetLabel):
+        blocks = [root_of_unity(r, q) * sigma(j) for j, r in zip(lab.js, lab.rs)]
+    else:  # pauli (n = 2) and full: the same block everywhere
+        blocks = [root_of_unity(lab.r, q) * sigma(lab.j)] * (n - 1)
+    return BlockCyclicMatrix(n, tuple(blocks)).dense()
+
+
+@pytest.mark.parametrize("family, n, q", [
+    (family, n, q)
+    for family in ("pauli", "elementary", "full", "het")
+    for n in ((2,) if family == "pauli" else (2, 3, 4, 5))
+    for q in (4, 12, 360)
+    # het lowers (4q)^(n-1) labels; keep to sets of at most 4096
+    if family != "het" or (4 * q) ** (n - 1) <= 4096
+])
+def test_dense_stack_is_the_blockwise_construction(family, n, q):
+    fam = family_context(family, n, q)
+    want = np.stack([_reference_dense(lab, fam.n, q) for lab in fam.labels])
+    assert fam.dense_stack.shape == want.shape
+    assert fam.dense_stack.tobytes() == want.tobytes()
+    assert all(lab.dense().tobytes() == row.tobytes()
+               for lab, row in zip(fam.labels, fam.dense_stack))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +210,19 @@ def test_sampled_sweep_deterministic():
     assert a.passed and not a.exhaustive and a.checked == 2000
 
 
+@pytest.mark.parametrize("check", [closure_check, assoc_check],
+                         ids=["closure", "associativity"])
+def test_sampled_check_slices_match_one_chunk(monkeypatch, check):
+    # a passing sample gives the same result in slices as in one piece; the
+    # worst deviation is a maximum, so it is exact
+    whole = check("het", 3, 12, mode="sample", samples=3000, seed=5)
+    assert whole.passed and 3000 <= oracle._SAMPLE_SLICE
+    monkeypatch.setattr(oracle, "_SAMPLE_SLICE", 7)
+    assert check("het", 3, 12, mode="sample", samples=3000, seed=5) == whole
+    if check is closure_check:
+        assert whole.max_abs_deviation > 0
+
+
 def test_closure_check_sample_covers_labels():
     res = closure_check("full", 3, 4, mode="sample", samples=50, seed=1)
     assert res.passed and not res.exhaustive and res.checked == 50
@@ -212,9 +261,14 @@ def test_worker_count_env(monkeypatch):
 # targeted checks and emitters
 
 
-def test_querelement_dense_checks():
+def test_querelement_dense_checks(monkeypatch):
     assert querelement_dense_check("full", 3, 4) <= 1e-12
     assert het_querelement_inverse_check(4) <= 1e-12
+    # the identity map is no querelement, and both checks must see that
+    monkeypatch.setattr(phases, "full_querelement", lambda a: a)
+    monkeypatch.setattr(phases, "het_querelement", lambda a: a)
+    assert querelement_dense_check("full", 3, 4) > 1
+    assert het_querelement_inverse_check(4) > 1
 
 
 def test_junit_emitter():
@@ -328,15 +382,20 @@ def test_closure_sweep_negative_control_prefix_path(monkeypatch):
 
 def test_closure_sample_negative_control(monkeypatch):
     # full(3, 4) products that should be label 5 reported as label 6: the
-    # eighth seeded tuple is the first whose dense product disagrees
+    # eighth seeded tuple is the first whose dense product disagrees, whether
+    # the sample is one slice or that tuple lies inside the third slice (3),
+    # ends the second (4) or starts it (7)
     _doctor(monkeypatch, "full", 3, 4, results=_five_to_six)
-    res = closure_check("full", 3, 4, mode="sample", samples=2000, seed=7)
-    assert (res.passed, res.exhaustive, res.checked, res.total) == (False, False, 8, 2000)
-    assert res.witness == {
-        "kind": "closure",
-        "operands": ["f1r0", "f1r1", "f1r0"],
-        "max_abs_deviation": 2 ** 0.5,
-    }
+    for rows, workers in ((oracle._SAMPLE_SLICE, 1), (3, 1), (3, 2), (4, 1), (7, 1)):
+        monkeypatch.setattr(oracle, "_SAMPLE_SLICE", rows)
+        res = closure_check("full", 3, 4, mode="sample", samples=2000, seed=7,
+                            workers=workers)
+        assert (res.passed, res.exhaustive, res.checked, res.total) == (False, False, 8, 2000)
+        assert res.witness == {
+            "kind": "closure",
+            "operands": ["f1r0", "f1r1", "f1r0"],
+            "max_abs_deviation": 2 ** 0.5,
+        }
 
 
 @pytest.mark.parametrize("chunk", [1 << 17, 82, 81, 64])

@@ -1,5 +1,6 @@
 """Phase-shifted finite structures: labels, multiplication rules, builders."""
 
+import dataclasses
 from itertools import product
 from types import SimpleNamespace
 
@@ -503,6 +504,15 @@ def test_build_het_group_sampled_elements_is_pinned():
         "passed": True, "q": 4, "querelement": True, "querelement_checked": 256,
         "sampled": True, "seed": 42, "tolerance": 1e-12,
     }
+
+
+def test_element_order_cap_exhaustion_is_an_error(monkeypatch):
+    # an element still stepping at the cap has no order yet; it must not be
+    # counted with the absorbed ones
+    spec = dataclasses.replace(phases._STRUCTURES["full"], hist_cap=lambda order, q: 1)
+    monkeypatch.setitem(phases._STRUCTURES, "full", spec)
+    with pytest.raises(AssertionError, match="exceed the cap 1"):
+        build_full_group(3, 4)
 
 
 def test_structure_report_json_schema():
