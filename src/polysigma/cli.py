@@ -45,22 +45,14 @@ def _result_fields(lab) -> list[str]:
 def _cayley_rows(fam):
     """Yield (operand label indices, result label index) in canonical
     enumeration order, one chunk of rows at a time."""
-    for start, stop in oracle._chunk_ranges(fam.order ** fam.mult_len, _CAYLEY_CHUNK):
-        idx = oracle._build_tuples(fam.order, fam.mult_len, start, stop)
+    for start, stop in phases._chunk_ranges(fam.order ** fam.mult_len, _CAYLEY_CHUNK):
+        idx = phases._build_tuples(fam.order, fam.mult_len, start, stop)
         yield from zip(idx.tolist(), fam.index_mult(idx).tolist())
 
 
-def _cayley_row_count(family: str, n: int, q: int) -> int:
-    n = oracle._arity(family, n)  # refuse n < 2 before counting
-    if family == "elementary":
-        return (4 * q * (n - 1) + 1) ** n
-    if family == "het":
-        return phases.het_order_enumerated(n, q) ** n
-    return (4 * q) ** n
-
-
 def cmd_cayley(args) -> int:
-    rows = _cayley_row_count(args.family, args.n, args.q)
+    n, order = phases.family_size(args.family, args.n, args.q)  # refuses n < 2
+    rows = order ** n
     if rows > args.budget:
         print(
             f"error: {rows} table rows exceed the budget of {args.budget}; "
@@ -69,8 +61,9 @@ def cmd_cayley(args) -> int:
         )
         return 2
     fam = oracle.family_context(args.family, args.n, args.q)
-    tokens = [lab.token() for lab in fam.labels]
-    fields = [_result_fields(lab) for lab in fam.labels]
+    labels = [fam.label(i) for i in range(fam.order)]
+    tokens = [lab.token() for lab in labels]
+    fields = [_result_fields(lab) for lab in labels]
     if args.format == "csv":
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -123,7 +116,7 @@ def cmd_verify(args) -> int:
     if args.junit:
         summary = oracle.SweepSummary(
             family=report.family, n=report.n, q=report.q,
-            tuple_len=2 if report.family == "pauli" else report.n,
+            tuple_len=report.n,
             kind="structure", total=report.closure_checked,
             checked=report.closure_checked, passed=report.passed,
             max_abs_deviation=report.closure_max_deviation,

@@ -76,24 +76,8 @@ def trace(a: np.ndarray) -> complex:
 
 
 def det(a: np.ndarray) -> complex:
-    """Determinant by LU elimination with partial pivoting.
-
-    Intended for the small dimensions used here (<= 12); no external solver.
-    """
-    u = _as_square(a).copy()
-    n = u.shape[0]
-    sign = 1.0 + 0j
-    value = 1.0 + 0j
-    for c in range(n):
-        p = c + int(np.argmax(np.abs(u[c:, c])))
-        if u[p, c] == 0:
-            return 0j
-        if p != c:
-            u[[c, p]] = u[[p, c]]
-            sign = -sign
-        value *= u[c, c]
-        u[c + 1:, c:] -= (u[c + 1:, c] / u[c, c])[:, None] * u[c, c:]
-    return complex(sign * value)
+    """Determinant of a square matrix."""
+    return complex(np.linalg.det(_as_square(a)))
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:

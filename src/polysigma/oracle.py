@@ -2,7 +2,9 @@
 
 Lowers symbolic labels and block elements to dense matrices, computes literal
 n-fold matrix products, and adjudicates every closed-form rule of the label
-algebra.  Exhaustive sweeps are budget-gated and refuse (rather than silently
+algebra.  The algebra itself, the slot codes, their canonical order and the
+slot-table kernel, lives in ``phases``; this module lowers, sweeps and
+judges.  Exhaustive sweeps are budget-gated and refuse (rather than silently
 sample) when the product count would exceed the budget, so an "exhaustively
 verified" claim in a report is literally true.  Sweeps iterate in a fixed
 row-major order; sampled sweeps draw from a seeded generator with stratified
@@ -23,14 +25,10 @@ import numpy as np
 
 from . import phases
 from .errors import BudgetExceededError, DomainError
-from .matrices import DEFAULT_TOL, DET_TOL, BlockCyclicMatrix
-from .phases import check_modulus
-from .sigma_algebra import mul_sigma_indices
+from .matrices import DEFAULT_TOL, BlockCyclicMatrix
 from .su2 import PolyadicSU2Element, SU2Params, binary_su2_matrix
 
 DEFAULT_BUDGET = 30_000_000
-
-_FAMILIES = ("pauli", "elementary", "full", "het")
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -65,12 +63,6 @@ def lower(obj) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # family plumbing
-#
-# A label is a vector of m slot codes over G_q + {0} (see ``phases``), lowered
-# by ``phases.lower_slots``.  A product uses the cyclic shift of
-# ``het_nary_mul``: result slot s is the product over factors t of factor t's
-# slot (s + t) mod m, so zero factors and non-chaining elementary tuples fall
-# out of the zero row and column.
 
 
 @dataclass(frozen=True)
@@ -80,91 +72,28 @@ class _Family:
     q: int
     order: int
     mult_len: int                       # factor count of the basic product
-    labels: tuple                       # canonical enumeration order
+    slots: np.ndarray                   # (m, order) slot codes, read-only
     dense_stack: np.ndarray             # (order, d, d), read-only
     #: (B, t) label rows -> (B,) products; with every_last=True,
     #: (P, t) prefixes -> (P, order), each prefix followed by every label
     index_mult: Callable[..., np.ndarray]
 
-
-def _cayley_table(q: int) -> np.ndarray:
-    """(4q+1, 4q+1) Cayley table of G_q plus the absorbing zero 4q."""
-    words = np.array([[mul_sigma_indices(a, b) for b in range(4)] for a in range(4)])
-    j, r = np.divmod(np.arange(4 * q), q)
-    word = words[j[:, None], j[None, :]]
-    table = np.full((4 * q + 1, 4 * q + 1), 4 * q, dtype=np.int64)
-    table[:-1, :-1] = (word[..., 0] * q
-                       + (r[:, None] + r[None, :] + (q // 4) * word[..., 1]) % q)
-    return table
-
-
-def _slot_index(name: str, q: int, m: int) -> tuple[np.ndarray, np.ufunc]:
-    """(m, 4q+1) table of the label-index part that code c contributes in
-    slot s, and the ufunc that joins the slots' parts into the label index,
-    in the orders of ``het_index`` and ``elementary_index``."""
-    j, r = np.divmod(np.arange(4 * q + 1), q)
-    if name == "elementary":
-        # one live slot at most; the zero label has the largest index, so the
-        # minimum over the slots picks the live one
-        parts = np.array([(j * m + s) * q + r for s in range(m)])
-        parts[:, -1] = 4 * q * m
-        return parts, np.minimum
-    # a group family never reaches the zero code
-    return np.array([j * 4 ** (m - 1 - s) * q ** m + r * q ** (m - 1 - s)
-                     for s in range(m)]), np.add
-
-
-def _slot_kernel(table: np.ndarray, slots: np.ndarray, parts: np.ndarray,
-                 join: np.ufunc) -> Callable[..., np.ndarray]:
-    """index_mult over (m, order) slot codes, folded one slot at a time."""
-    m = slots.shape[0]
-
-    def index_mult(idx: np.ndarray, every_last: bool = False) -> np.ndarray:
-        out = None
-        for s in range(m):
-            acc = slots[s][idx[:, 0]]
-            for t in range(1, idx.shape[1]):
-                acc = table[acc, slots[(s + t) % m][idx[:, t]]]
-            if every_last:
-                acc = table[acc[:, None], slots[(s + idx.shape[1]) % m]]
-            out = parts[s][acc] if out is None else join(out, parts[s][acc])
-        return out
-
-    return index_mult
-
-
-def _arity(name: str, n: int) -> int:
-    """Factor count of the family's product: 2 for pauli, else n >= 2."""
-    if name == "pauli":
-        return 2
-    if n < 2:
-        raise DomainError(f"arity must be >= 2 for family {name!r}, got {n}")
-    return n
+    def label(self, i: int):
+        """The label object at index ``i``, decoded from its slot codes."""
+        return phases.label_from_slots(self.name, self.n, self.q, self.slots[:, i])
 
 
 @functools.lru_cache(maxsize=1)
 def family_context(name: str, n: int, q: int) -> _Family:
-    """Labels, dense forms and the slot-table kernel of one family.  The
+    """Slot codes, dense forms and the slot-table kernel of one family.  The
     last context is cached, so one run's closure, associativity and
     structure checks lower the labels once."""
-    check_modulus(q)
-    n = _arity(name, n)
-    if name == "pauli":
-        labels = phases.pauli_labels(q)
-    elif name == "full":
-        labels = phases.full_labels(n, q)
-    elif name == "elementary":
-        labels = phases.elementary_labels(n, q)
-    elif name == "het":
-        labels = phases.het_phased_labels(n, q)
-    else:
-        raise DomainError(f"unknown family {name!r}; expected one of {_FAMILIES}")
-    slots = np.array([lab.slots() for lab in labels], dtype=np.int64)
-    dense = phases.lower_slots(slots, n, q)
-    dense.flags.writeable = False
-    return _Family(name, n, q, len(labels), n, tuple(labels), dense,
-                   _slot_kernel(_cayley_table(q), np.ascontiguousarray(slots.T),
-                                *_slot_index(name, q, slots.shape[1])))
+    n, order = phases.family_size(name, n, q)
+    slots = phases.family_slots(name, n, q)
+    dense = phases.lower_slots(slots.T, n, q)
+    slots.flags.writeable = dense.flags.writeable = False
+    return _Family(name, n, q, order, n, slots, dense,
+                   phases._slot_kernel(name, q, slots))
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +149,6 @@ def summaries_to_junit(summaries: Sequence[SweepSummary]) -> str:
 # tuple generation
 
 
-def _build_tuples(order: int, tuple_len: int, start: int, stop: int) -> np.ndarray:
-    """Tuple rows for flat indices start..stop-1 in row-major order."""
-    rem = np.arange(start, stop, dtype=np.int64)
-    cols = []
-    for _ in range(tuple_len):
-        cols.append(rem % order)
-        rem = rem // order
-    return np.stack(cols[::-1], axis=1)
-
-
-def _chunk_ranges(total: int, chunk: int):
-    start = 0
-    while start < total:
-        yield start, min(start + chunk, total)
-        start = min(start + chunk, total)
-
-
 def _sampled_tuples(order: int, tuple_len: int, samples: int, seed: int) -> np.ndarray:
     """Seeded tuples with stratified coverage: a permutation of the label set
     fills the leading tuples so every label appears when capacity allows."""
@@ -289,7 +201,7 @@ def _closure_on_range(fam: _Family, tuple_len: int, start: int, stop: int,
     leading tuple_len-1 factors.  The prefix products, stacked to (P*d, d),
     are multiplied by each label's matrix as one tall product."""
     order, d = fam.order, fam.dense_stack.shape[-1]
-    pref = _build_tuples(order, tuple_len - 1, start // order, stop // order)
+    pref = phases._build_tuples(order, tuple_len - 1, start // order, stop // order)
     acc = fam.dense_stack[pref[:, 0]]
     for t in range(1, tuple_len - 1):
         acc = acc @ fam.dense_stack[pref[:, t]]
@@ -358,17 +270,17 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
         )
     if not exhaustive:
         sample = _sampled_tuples(fam.order, tuple_len, samples, seed)
-        total, chunks = samples, _chunk_ranges(samples, _SAMPLE_SLICE)
+        total, chunks = samples, phases._chunk_ranges(samples, _SAMPLE_SLICE)
     elif closure:
         runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.dense_stack.shape[-1] ** 3))
-        chunks = _chunk_ranges(total, runs * fam.order)
+        chunks = phases._chunk_ranges(total, runs * fam.order)
     else:
-        chunks = _chunk_ranges(total, _CHUNK)
+        chunks = phases._chunk_ranges(total, _CHUNK)
 
     def work(chunk: tuple[int, int]):
         if exhaustive and closure:
             return chunk, _closure_on_range(fam, tuple_len, *chunk, tol)
-        idx = (_build_tuples(fam.order, tuple_len, *chunk) if exhaustive
+        idx = (phases._build_tuples(fam.order, tuple_len, *chunk) if exhaustive
                else sample[slice(*chunk)])
         return chunk, (_closure_on_tuples(fam, idx, tol) if closure
                        else _assoc_on_tuples(fam, idx))
@@ -380,7 +292,7 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
             worst = max(worst, dev)
             if bad is not None:
                 witness = {"kind": kind,
-                           "operands": [fam.labels[int(i)].token() for i in row]}
+                           "operands": [fam.label(int(i)).token() for i in row]}
                 if closure:
                     witness["max_abs_deviation"] = worst
                 return CheckResult(False, exhaustive, start + bad + 1, total, worst, witness)
@@ -467,7 +379,8 @@ def querelement_dense_check(family: str, n: int, q: int) -> float:
         raise DomainError(f"querelement check supports full|het, got {family!r}")
     fam = family_context(family, n, q)
     elems = fam.dense_stack
-    quers = phases.lower_slots([quer(a).slots() for a in fam.labels], fam.n, q)
+    quers = phases.lower_slots(
+        [quer(fam.label(i)).slots() for i in range(fam.order)], fam.n, q)
     worst = 0.0
     for pos in range(fam.mult_len):
         prod = functools.reduce(
@@ -480,7 +393,8 @@ def het_querelement_inverse_check(q: int) -> float:
     """Max deviation between the ternary heterogeneous querelement and the
     dense matrix inverse, over the full enumerated label set."""
     fam = family_context("het", 3, q)
-    quers = phases.lower_slots([phases.het_querelement(a).slots() for a in fam.labels], 3, q)
+    quers = phases.lower_slots(
+        [phases.het_querelement(fam.label(i)).slots() for i in range(fam.order)], 3, q)
     return float(np.abs(quers - np.linalg.inv(fam.dense_stack)).max())
 
 

@@ -1,9 +1,13 @@
 """Finite phase-shifted structures as exact label algebras.
 
-Elements are labels (sigma index / block position / integer phase index mod q)
-rather than matrices; multiplication is integer arithmetic via the sigma-word
-kernel, so no floating point enters any group-theoretic conclusion.  Dense
-matrices appear only when a label is lowered for the oracle.
+Elements are labels (vectors of integer slot codes, see below) rather than
+matrices.  This module holds the whole label algebra: one Cayley table per q
+and one fold of slot codes, on which the family enumerations, the oracle's
+index kernel, the public products and the querelement formulas run.  The
+formulas run batched over arrays of slot codes; the public scalar functions
+are one-row wrappers.  No floating point enters any group-theoretic
+conclusion, and dense matrices appear only when labels are lowered for the
+oracle.
 
 The admissible phase moduli are the divisors of 360 that are multiples of 4;
 the quarter-turn unit i is then always representable as the integer phase
@@ -16,14 +20,13 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import product
 from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ArityError, DomainError, ValidationError
 from .matrices import DEFAULT_TOL, sigma
-from .sigma_algebra import levi_civita, mul_sigma_indices, reduce_sigma_word
+from .sigma_algebra import levi_civita, mul_sigma_indices
 
 #: the twelve admissible phase moduli.
 Q12 = (4, 8, 12, 20, 24, 36, 40, 60, 72, 120, 180, 360)
@@ -217,63 +220,161 @@ class HetLabel(_Label):
 
 
 # ---------------------------------------------------------------------------
-# enumerations and index arithmetic (canonical orders; the encode helpers must
-# stay in lockstep with the list builders)
+# the label algebra
+#
+# Result slot s of a product is the product over factors t of factor t's slot
+# (s + t) mod m, so zero factors and non-chaining elementary tuples fall out
+# of the Cayley table's zero row and column.
+
+
+@functools.cache
+def _cayley_table(q: int) -> np.ndarray:
+    """(4q+1, 4q+1) read-only Cayley table of G_q plus the absorbing zero 4q,
+    filled one (q, q) block per pair of sigma indices."""
+    sums = np.add.outer(np.arange(q), np.arange(q))
+    table = np.full((4 * q + 1, 4 * q + 1), 4 * q, dtype=np.int64)
+    for a in range(4):
+        for b in range(4):
+            j, quarter = mul_sigma_indices(a, b)
+            table[a * q:(a + 1) * q, b * q:(b + 1) * q] = (
+                j * q + (sums + (q // 4) * quarter) % q)
+    table.flags.writeable = False
+    return table
+
+
+def _slot_fold(q: int, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Slot codes of the product of ``factors``, each an (m, ...) array of
+    slot codes, folded left to right: one array per result slot, in which
+    the shapes after the factors' slot axis broadcast."""
+    table = _cayley_table(q).ravel()  # one flat gather beats table[a, b]
+    width = 4 * q + 1
+    m = len(factors[0])
+    out = []
+    for s in range(m):
+        acc = factors[0][s]
+        for t in range(1, len(factors)):
+            acc = table[acc * width + factors[t][(s + t) % m]]
+        out.append(acc)
+    return out
+
+
+def _slot_index(name: str, q: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The encoder of m slot-code arrays to label indices in the canonical
+    order of ``family_slots``: code c in slot s contributes a part, and the
+    slots' parts join into the index."""
+    j, r = np.divmod(np.arange(4 * q + 1), q)
+    if name == "elementary":
+        # one live slot at most; the zero label has the largest index, so the
+        # minimum over the slots picks the live one
+        parts = np.array([(j * m + s) * q + r for s in range(m)])
+        parts[:, -1] = 4 * q * m
+        join = np.minimum
+    else:
+        # a group family never reaches the zero code
+        parts = np.array([j * 4 ** (m - 1 - s) * q ** m + r * q ** (m - 1 - s)
+                          for s in range(m)])
+        join = np.add
+
+    def encode(codes: np.ndarray) -> np.ndarray:
+        return functools.reduce(join, (parts[s][codes[s]] for s in range(m)))
+
+    return encode
+
+
+def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarray]:
+    """index_mult over the labels with (m, k) slot codes ``slots``: (B, t)
+    rows of label indices -> (B,) label indices of the products; with
+    every_last=True, (P, t) prefixes -> (P, k), each prefix followed by
+    every label."""
+    encode = _slot_index(name, q, len(slots))
+
+    def index_mult(idx: np.ndarray, every_last: bool = False) -> np.ndarray:
+        factors = [np.take(slots, idx[:, t], axis=1) for t in range(idx.shape[1])]
+        if every_last:
+            factors = [f[:, :, None] for f in factors] + [slots[:, None, :]]
+        return encode(_slot_fold(q, factors))
+
+    return index_mult
+
+
+def family_size(name: str, n: int, q: int) -> tuple[int, int]:
+    """The factor count of a family's product (2 for pauli, else n >= 2)
+    and its label count, checked before anything is enumerated."""
+    check_modulus(q)
+    if name == "pauli":
+        return 2, 4 * q
+    if n < 2:
+        raise DomainError(f"arity must be >= 2 for family {name!r}, got {n}")
+    orders = {"elementary": 4 * q * (n - 1) + 1, "full": 4 * q,
+              "het": het_order_enumerated(n, q)}
+    if name not in orders:
+        raise DomainError(f"unknown family {name!r}; expected one of {('pauli', *orders)}")
+    return n, orders[name]
+
+
+def family_slots(name: str, n: int, q: int, index=None) -> np.ndarray:
+    """(m, k) slot codes of the family's labels at the canonical indices
+    ``index`` (every label by default).  The canonical order runs over the
+    sigma indices, then the elementary position, then the phase indices,
+    first slot most significant; the elementary zero comes last."""
+    n, order = family_size(name, n, q)
+    index = np.arange(order) if index is None else np.asarray(index, dtype=np.int64)
+    if name == "elementary":
+        j, k, r = np.unravel_index(np.minimum(index, order - 2), (4, n - 1, q))
+        live = (np.arange(n - 1)[:, None] == k) & (index < order - 1)
+        return np.where(live, j * q + r, 4 * q)
+    m = n - 1 if name == "het" else 1
+    digits = np.unravel_index(index, (4,) * m + (q,) * m)
+    return np.array(digits[:m]) * q + np.array(digits[m:])
+
+
+def label_from_slots(name: str, n: int, q: int, codes: Sequence[int]) -> _Label:
+    """The label object of the family with slot codes ``codes``."""
+    js, rs = zip(*(divmod(int(c), q) for c in codes))
+    if name == "pauli":
+        return PauliLabel(q, js[0], rs[0])
+    if name == "full":
+        return FullLabel(q, n, js[0], rs[0])
+    if name == "het":
+        return HetLabel(q, n, js, rs)
+    live = [s for s, j in enumerate(js) if j < 4]
+    if not live:
+        return ZeroLabel(q, n)
+    return ElementaryLabel(q, n, js[live[0]], live[0] + 1, rs[live[0]])
+
+
+def _build_tuples(order: int, tuple_len: int, start: int, stop: int) -> np.ndarray:
+    """Tuple rows for flat indices start..stop-1 in row-major order."""
+    return np.stack(np.unravel_index(np.arange(start, stop), (order,) * tuple_len), axis=1)
+
+
+def _chunk_ranges(total: int, chunk: int):
+    return ((start, min(start + chunk, total)) for start in range(0, total, chunk))
+
+
+# ---------------------------------------------------------------------------
+# enumerations, in the canonical order
+
+
+def _labels(name: str, n: int, q: int) -> list:
+    return [label_from_slots(name, n, q, codes) for codes in family_slots(name, n, q).T]
 
 
 def pauli_labels(q: int) -> list[PauliLabel]:
-    check_modulus(q)
-    return [PauliLabel(q, j, r) for j in range(4) for r in range(q)]
-
-
-def pauli_index(j: int, r: int, q: int) -> int:
-    return j * q + r
+    return _labels("pauli", 2, q)
 
 
 def full_labels(n: int, q: int) -> list[FullLabel]:
-    check_modulus(q)
-    return [FullLabel(q, n, j, r) for j in range(4) for r in range(q)]
-
-
-def full_index(j: int, r: int, q: int) -> int:
-    return j * q + r
+    return _labels("full", n, q)
 
 
 def elementary_labels(n: int, q: int) -> list[ElementaryLabel | ZeroLabel]:
     """All 4q(n-1) nonzero labels followed by the adjoined zero."""
-    check_modulus(q)
-    out: list[ElementaryLabel | ZeroLabel] = [
-        ElementaryLabel(q, n, j, k, r)
-        for j in range(4)
-        for k in range(1, n)
-        for r in range(q)
-    ]
-    out.append(ZeroLabel(q, n))
-    return out
-
-
-def elementary_index(j: int, k: int, r: int, n: int, q: int) -> int:
-    return (j * (n - 1) + (k - 1)) * q + r
+    return _labels("elementary", n, q)
 
 
 def het_phased_labels(n: int, q: int) -> list[HetLabel]:
-    check_modulus(q)
-    m = n - 1
-    return [
-        HetLabel(q, n, js, rs)
-        for js in product(range(4), repeat=m)
-        for rs in product(range(q), repeat=m)
-    ]
-
-
-def het_index(js: Sequence[int], rs: Sequence[int], q: int) -> int:
-    jidx = 0
-    for j in js:
-        jidx = jidx * 4 + j
-    ridx = 0
-    for r in rs:
-        ridx = ridx * q + r
-    return jidx * q ** len(rs) + ridx
+    return _labels("het", n, q)
 
 
 def het_order_enumerated(n: int, q: int) -> int:
@@ -297,22 +398,38 @@ def _common_q(labels: Iterable) -> int:
     return qs.pop()
 
 
+def _product(name: str, labels: Sequence, n: int):
+    q = _common_q(labels)
+    for lab in labels:
+        if lab.n != n:
+            raise DomainError(f"arity mismatch: {lab.n} != {n}")
+    codes = _slot_fold(q, [np.array(lab.slots()) for lab in labels])
+    return label_from_slots(name, n, q, codes)
+
+
+def _one_row(formula: Callable, name: str, lab, n: int):
+    return label_from_slots(name, n, lab.q, formula(np.array(lab.slots()), n, lab.q))
+
+
 def pauli_mul(a: PauliLabel, b: PauliLabel) -> PauliLabel:
-    """Closed binary product; sigma_0 factors only add phase, equal indices
-    square to sigma_0 with doubled phase, distinct nonzero indices pick up the
-    quarter-turn shift (q/4)*(2 - eps)."""
-    q = _common_q((a, b))
-    j, quarter = mul_sigma_indices(a.j, b.j)
-    return PauliLabel(q, j, (a.r + b.r + (q // 4) * quarter) % q)
+    """Closed binary product of phase-shifted sigma matrices."""
+    return _product("pauli", (a, b), 2)
 
 
 def pauli_identity(q: int) -> PauliLabel:
     return PauliLabel(q, 0, 0)
 
 
+def _pauli_inverse(codes: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Inverses of phase-shifted sigma blocks: only the phase negates, and
+    the zero code stays zero."""
+    j, r = np.divmod(codes, q)
+    return j * q + (-r) % q
+
+
 def pauli_inverse(a: PauliLabel) -> PauliLabel:
     """sigma matrices are involutions, so only the phase negates."""
-    return PauliLabel(a.q, a.j, (-a.r) % a.q)
+    return _one_row(_pauli_inverse, "pauli", a, 2)
 
 
 def _check_nary_count(count: int, n: int) -> None:
@@ -327,36 +444,23 @@ def elementary_nary_mul(
     non-chaining position pattern collapses to zero."""
     if len(labels) != n:
         raise ArityError(f"expected exactly {n} factors, got {len(labels)}")
-    q = _common_q(labels)
-    for lab in labels:
-        if lab.n != n:
-            raise DomainError(f"arity mismatch: {lab.n} != {n}")
-    if any(isinstance(lab, ZeroLabel) for lab in labels):
-        return ZeroLabel(q, n)
-    m = n - 1
-    ks = [lab.k - 1 for lab in labels]
-    if not all(ks[t + 1] == (ks[t] + 1) % m for t in range(len(ks) - 1)):
-        return ZeroLabel(q, n)
-    j, quarter = reduce_sigma_word([lab.j for lab in labels])
-    r = (sum(lab.r for lab in labels) + (q // 4) * quarter) % q
-    return ElementaryLabel(q, n, j, labels[0].k, r)
+    return _product("elementary", labels, n)
 
 
 def full_nary_mul(labels: Sequence[FullLabel], n: int) -> FullLabel:
     """Product of l*(n-1)+1 phase-shifted full labels: one reduced sigma word,
     phases and quarter-turn shifts added mod q."""
     _check_nary_count(len(labels), n)
-    q = _common_q(labels)
-    for lab in labels:
-        if lab.n != n:
-            raise DomainError(f"arity mismatch: {lab.n} != {n}")
-    j, quarter = reduce_sigma_word([lab.j for lab in labels])
-    r = (sum(lab.r for lab in labels) + (q // 4) * quarter) % q
-    return FullLabel(q, n, j, r)
+    return _product("full", labels, n)
 
 
 def full_identity(n: int, q: int) -> FullLabel:
     return FullLabel(q, n, 0, 0)
+
+
+def _full_querelement(codes: np.ndarray, n: int, q: int) -> np.ndarray:
+    j, r = np.divmod(codes, q)
+    return j * (n % 2) * q + ((2 - n) * r) % q
 
 
 def full_querelement(s: FullLabel, n: int | None = None) -> FullLabel:
@@ -370,8 +474,7 @@ def full_querelement(s: FullLabel, n: int | None = None) -> FullLabel:
     n = s.n if n is None else n
     if n != s.n:
         raise DomainError(f"arity mismatch: {n} != {s.n}")
-    j = s.j if (n % 2 == 1 or s.j == 0) else 0
-    return FullLabel(s.q, n, j, ((2 - n) * s.r) % s.q)
+    return _one_row(_full_querelement, "full", s, n)
 
 
 def het_nary_mul(labels: Sequence[HetLabel], n: int) -> HetLabel:
@@ -379,25 +482,15 @@ def het_nary_mul(labels: Sequence[HetLabel], n: int) -> HetLabel:
     is the reduced word of the factors' blocks at positions s, s+1, ...
     (cyclic), with phase indices added mod q."""
     _check_nary_count(len(labels), n)
-    q = _common_q(labels)
-    for lab in labels:
-        if lab.n != n:
-            raise DomainError(f"arity mismatch: {lab.n} != {n}")
-    m = n - 1
-    js_out = []
-    rs_out = []
-    for s in range(m):
-        word = [lab.js[(s + t) % m] for t, lab in enumerate(labels)]
-        j, quarter = reduce_sigma_word(word)
-        r = (sum(lab.rs[(s + t) % m] for t, lab in enumerate(labels))
-             + (q // 4) * quarter) % q
-        js_out.append(j)
-        rs_out.append(r)
-    return HetLabel(q, n, tuple(js_out), tuple(rs_out))
+    return _product("het", labels, n)
 
 
 def het_identity(n: int, q: int) -> HetLabel:
     return HetLabel(q, n, (0,) * (n - 1), (0,) * (n - 1))
+
+
+def _het_querelement(codes: np.ndarray, n: int, q: int) -> np.ndarray:
+    return _pauli_inverse(codes[::-1], n, q)
 
 
 def het_querelement(s: HetLabel) -> HetLabel:
@@ -409,9 +502,16 @@ def het_querelement(s: HetLabel) -> HetLabel:
             "closed-form querelement only exists at arity 3; "
             "use het_querelement_general"
         )
-    js = (s.js[1], s.js[0])
-    rs = ((-s.rs[1]) % s.q, (-s.rs[0]) % s.q)
-    return HetLabel(s.q, 3, js, rs)
+    return _one_row(_het_querelement, "het", s, 3)
+
+
+def _het_querelement_general(codes: np.ndarray, n: int, q: int) -> np.ndarray:
+    # with the slots reversed, slot u holds the inverse of block m-1-u, and
+    # the fold of m-1 copies puts block k's descending product in slot -k
+    m = len(codes)
+    back = _pauli_inverse(codes[::-1], n, q)
+    prod = _slot_fold(q, [back] * (m - 1) or [np.zeros_like(codes)])
+    return np.stack([prod[-k % m] for k in range(m)])
 
 
 def het_querelement_general(s: HetLabel) -> HetLabel:
@@ -419,17 +519,7 @@ def het_querelement_general(s: HetLabel) -> HetLabel:
     descending cyclic product of the inverses of blocks k-1, ..., k+1.
     Each block inverse is the same sigma with negated phase, so the result
     stays in the label set."""
-    m = s.n - 1
-    q = s.q
-    js_out = []
-    rs_out = []
-    for k in range(m):
-        idxs = [(k - step) % m for step in range(1, m)]
-        j, quarter = reduce_sigma_word([s.js[i] for i in idxs])
-        r = (-sum(s.rs[i] for i in idxs) + (q // 4) * quarter) % q
-        js_out.append(j)
-        rs_out.append(r)
-    return HetLabel(q, s.n, tuple(js_out), tuple(rs_out))
+    return _one_row(_het_querelement_general, "het", s, s.n)
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +527,8 @@ def het_querelement_general(s: HetLabel) -> HetLabel:
 
 
 def pauli_element_order(a: PauliLabel) -> int:
-    e = pauli_identity(a.q)
-    cur = a
-    for m in range(1, 4 * a.q + 1):
-        if cur == e:
-            return m
-        cur = pauli_mul(cur, a)
-    raise AssertionError("order exceeded the group order")  # pragma: no cover
+    """Smallest m >= 1 with a^m the identity, i.e. a^(m+1) = a."""
+    return nary_element_order(a, lambda f, n: pauli_mul(*f), 2, 4 * a.q)
 
 
 def nary_element_order(a, mult, n: int, cap: int) -> int | None:
@@ -497,10 +582,12 @@ class StructureReport:
 
     @property
     def passed(self) -> bool:
+        """Every check held, and a family with an identity showed it."""
         return bool(
             self.closure
             and self.assoc
             and (self.querelement is None or self.querelement)
+            and (self.identity is not None or _STRUCTURES[self.family].identity is None)
         )
 
     def to_dict(self) -> dict:
@@ -552,26 +639,29 @@ def _element_orders(fam, elems: np.ndarray, cap: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Structure:
     """One family's checks beside closure and associativity.  The hooks look
-    the public formulas up when called, so those formulas are under test."""
+    the slot-code formulas up when called, so those formulas, which the
+    public scalar functions wrap, are under test."""
 
     #: pauli: arity 2, and an inverse times the element is the identity;
     #: else arity >= 3, and querelements hold at every insertion position
     binary: bool
     claimed_order: Callable[[int, int], int]               # (n, q)
     identity: Callable[[int, int], object] | None          # (n, q)
-    inverses: Callable[[int], tuple]     # (n,) -> formulas that must agree
+    #: (n,) -> slot-code formulas (codes, n, q) -> codes that must agree
+    inverses: Callable[[int], tuple]
     #: (oracle, n, q, order, sampled) -> dense deviation, None if not run
     dense_check: Callable[..., float | None] | None
     hist_cap: Callable[[int, int], int]                    # (order, q)
     assoc_sampled: bool = False          # no exhaustive associativity budget
-    #: (n, q, rng, count) -> the seeded elements checked above element_cap
-    subset: Callable[..., list] | None = None
+    #: (n, q, rng, count) -> (m, count) slot codes of the seeded elements
+    #: checked above element_cap
+    subset: Callable[..., np.ndarray] | None = None
 
 
 _STRUCTURES = {
     "pauli": _Structure(
         binary=True, claimed_order=lambda n, q: 4 * q,
-        identity=lambda n, q: pauli_identity(q), inverses=lambda n: (pauli_inverse,),
+        identity=lambda n, q: pauli_identity(q), inverses=lambda n: (_pauli_inverse,),
         dense_check=None, hist_cap=lambda order, q: 4 * q),
     "elementary": _Structure(
         binary=False, claimed_order=lambda n, q: 4 * q * (n - 1) + 1,
@@ -579,7 +669,7 @@ _STRUCTURES = {
         hist_cap=lambda order, q: 2 * order, assoc_sampled=True),
     "full": _Structure(
         binary=False, claimed_order=lambda n, q: 4 * q,
-        identity=lambda n, q: full_identity(n, q), inverses=lambda n: (full_querelement,),
+        identity=lambda n, q: full_identity(n, q), inverses=lambda n: (_full_querelement,),
         # small enough to also lower every querelement tuple to matrices
         dense_check=lambda oracle, n, q, order, sampled: (
             oracle.querelement_dense_check("full", n, q) if order <= 64 else None),
@@ -588,14 +678,14 @@ _STRUCTURES = {
         binary=False, claimed_order=lambda n, q: het_order_claimed(n, q),
         identity=lambda n, q: het_identity(n, q),
         # the closed form exists at arity 3 only, and must equal the general one
-        inverses=lambda n: ((het_querelement, het_querelement_general) if n == 3
-                            else (het_querelement_general,)),
+        inverses=lambda n: ((_het_querelement, _het_querelement_general) if n == 3
+                            else (_het_querelement_general,)),
         dense_check=lambda oracle, n, q, order, sampled: (
             oracle.het_querelement_inverse_check(q) if n == 3 and not sampled else None),
         hist_cap=lambda order, q: 4 * q, assoc_sampled=True,
-        subset=lambda n, q, rng, count: [
-            HetLabel(q, n, rng.integers(0, 4, size=n - 1), rng.integers(0, q, size=n - 1))
-            for _ in range(count)]),
+        subset=lambda n, q, rng, count: np.array(
+            [rng.integers(0, 4, size=n - 1) * q + rng.integers(0, q, size=n - 1)
+             for _ in range(count)], dtype=np.int64).reshape(count, n - 1).T),
 }
 
 
@@ -606,7 +696,8 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
                      quer_samples: int = 0) -> StructureReport:
     """Closure and associativity from the oracle; identity, inverse or
     querelement rules and element orders as batched products of label
-    indices on the family's slot-table kernel."""
+    indices on the family's slot-table kernel, with each inverse or
+    querelement formula applied once to the slot codes of every element."""
     from . import oracle
 
     spec = _STRUCTURES[family]
@@ -626,20 +717,20 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
     )
 
     fam = oracle.family_context(family, n, q)
-    index = {lab: i for i, lab in enumerate(fam.labels)}
+    encode = _slot_index(family, q, len(fam.slots))
     sampled = spec.subset is not None and fam.order > element_cap
-    elements = (spec.subset(n, q, np.random.default_rng(seed), quer_samples)
-                if sampled else fam.labels)
-    elems = np.array([index[a] for a in elements], dtype=np.int64)
+    elems = (encode(spec.subset(n, q, np.random.default_rng(seed), quer_samples))
+             if sampled else np.arange(fam.order))
 
     e = None if spec.identity is None else spec.identity(n, q)
-    ident_ok = e is None or bool(_identity_holds(fam, index[e], elems).all())
+    e_index = None if e is None else int(encode(np.array(e.slots())))
+    ident_ok = e is None or bool(_identity_holds(fam, e_index, elems).all())
     quer_ok, quer_checked = None, 0
     formulas = spec.inverses(n)
     if formulas:
-        invs = [np.array([index[f(a)] for a in elements], dtype=np.int64)
-                for f in formulas]
-        target = index[e] if spec.binary else elems
+        codes = fam.slots[:, elems]
+        invs = [encode(f(codes, n, q)) for f in formulas]
+        target = e_index if spec.binary else elems
         quer_ok = (all(np.array_equal(invs[0], v) for v in invs[1:])
                    and bool(_inverse_holds(fam, elems, invs[0], target).all()))
         quer_checked = len(elems) * (1 if spec.binary else n)
@@ -658,7 +749,7 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
         closure=closure.passed, closure_exhaustive=closure.exhaustive,
         closure_checked=closure.checked,
         closure_max_deviation=closure.max_abs_deviation,
-        assoc=assoc.passed and ident_ok, assoc_exhaustive=assoc.exhaustive,
+        assoc=assoc.passed, assoc_exhaustive=assoc.exhaustive,
         assoc_samples=assoc.checked,
         querelement=quer_ok, querelement_checked=quer_checked,
         order_histogram={str(o) if o else "none": c

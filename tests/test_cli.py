@@ -4,6 +4,9 @@ traces, exit codes, determinism."""
 import csv
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,3 +348,25 @@ def test_rules_dump(tmp_path):
     assert rows[0] == ["lhs_indices", "rhs_label", "phase_exponent"]
     assert len(rows) == 1 + 64
     assert ["1 2 3", "F0", "1"] in rows
+
+
+# ---------------------------------------------------------------------------
+# benchmark hooks
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_tracer_installs_and_verify_runs():
+    # perfbench/tracing.py wraps module attributes of phases and oracle and
+    # swaps the index_mult field of the family context; a renamed hook
+    # breaks `perfbench/run.py --trace 1`
+    code = ("import sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "import tracing\n"
+            "from polysigma import cli\n"
+            "tracing.install(tracing.Tracer())\n"
+            "sys.exit(cli.main(['verify', '--family', 'pauli', '--q', '4']))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

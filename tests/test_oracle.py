@@ -33,16 +33,12 @@ from polysigma.phases import (
     HetLabel,
     PauliLabel,
     ZeroLabel,
-    elementary_index,
     elementary_labels,
     elementary_nary_mul,
-    full_index,
     full_labels,
     full_nary_mul,
-    het_index,
     het_nary_mul,
     het_phased_labels,
-    pauli_index,
     pauli_labels,
     pauli_mul,
     root_of_unity,
@@ -111,11 +107,12 @@ def _reference_dense(lab, n, q):
 ])
 def test_dense_stack_is_the_blockwise_construction(family, n, q):
     fam = family_context(family, n, q)
-    want = np.stack([_reference_dense(lab, fam.n, q) for lab in fam.labels])
+    labels = [fam.label(i) for i in range(fam.order)]
+    want = np.stack([_reference_dense(lab, fam.n, q) for lab in labels])
     assert fam.dense_stack.shape == want.shape
     assert fam.dense_stack.tobytes() == want.tobytes()
     assert all(lab.dense().tobytes() == row.tobytes()
-               for lab, row in zip(fam.labels, fam.dense_stack))
+               for lab, row in zip(labels, fam.dense_stack))
 
 
 # ---------------------------------------------------------------------------
@@ -301,35 +298,28 @@ def test_index_mult_matches_label_mult():
     idx = rng.integers(0, fam.order, size=(500, 2))
     got = fam.index_mult(idx)
     for row, g in zip(idx, got):
-        res = pauli_mul(labels[row[0]], labels[row[1]])
-        assert pauli_index(res.j, res.r, 8) == g
+        assert labels[g] == pauli_mul(labels[row[0]], labels[row[1]])
 
     fam = family_context("full", 3, 4)
     labels = full_labels(3, 4)
     idx = rng.integers(0, fam.order, size=(500, 3))
     got = fam.index_mult(idx)
     for row, g in zip(idx, got):
-        res = full_nary_mul([labels[i] for i in row], 3)
-        assert full_index(res.j, res.r, 4) == g
+        assert labels[g] == full_nary_mul([labels[i] for i in row], 3)
 
     fam = family_context("elementary", 3, 4)
     labels = elementary_labels(3, 4)
     idx = rng.integers(0, fam.order, size=(1000, 3))
     got = fam.index_mult(idx)
     for row, g in zip(idx, got):
-        res = elementary_nary_mul([labels[i] for i in row], 3)
-        if isinstance(res, ZeroLabel):
-            assert g == len(labels) - 1
-        else:
-            assert elementary_index(res.j, res.k, res.r, 3, 4) == g
+        assert labels[g] == elementary_nary_mul([labels[i] for i in row], 3)
 
     fam = family_context("het", 3, 4)
     labels = het_phased_labels(3, 4)
     idx = rng.integers(0, fam.order, size=(1000, 3))
     got = fam.index_mult(idx)
     for row, g in zip(idx, got):
-        res = het_nary_mul([labels[i] for i in row], 3)
-        assert het_index(res.js, res.rs, 4) == g
+        assert labels[g] == het_nary_mul([labels[i] for i in row], 3)
 
 
 def _doctor(monkeypatch, family, n, q, results=None, **changes):
@@ -436,52 +426,14 @@ def test_exhaustive_closure_worst_deviation_is_pinned():
 
 
 # ---------------------------------------------------------------------------
-# property test: the slot-table kernel against the scalar label products
-
-#: family -> (labels, scalar product of a full tuple, label -> index)
-_SCALAR = {
-    "pauli": (
-        lambda n, q: pauli_labels(q),
-        lambda labs, n: functools.reduce(pauli_mul, labs),
-        lambda lab, n, q: pauli_index(lab.j, lab.r, q),
-    ),
-    "full": (
-        full_labels,
-        full_nary_mul,
-        lambda lab, n, q: full_index(lab.j, lab.r, q),
-    ),
-    "elementary": (
-        elementary_labels,
-        # the n-ary product only takes n factors; 2n-1 factors nest left
-        lambda labs, n: elementary_nary_mul(
-            labs if len(labs) == n else [elementary_nary_mul(labs[:n], n), *labs[n:]], n),
-        lambda lab, n, q: (4 * q * (n - 1) if isinstance(lab, ZeroLabel)
-                           else elementary_index(lab.j, lab.k, lab.r, n, q)),
-    ),
-    "het": (
-        het_phased_labels,
-        het_nary_mul,
-        lambda lab, n, q: het_index(lab.js, lab.rs, q),
-    ),
-}
-
-
-@functools.lru_cache(maxsize=32)
-def _context(family, n, q):
-    return family_context(family, n, q), _SCALAR[family][0](n, q)
+# property test: the slot-table kernel against lowered dense products
 
 
 @st.composite
 def _kernel_cases(draw):
-    family = draw(st.sampled_from(sorted(_SCALAR)))
-    if family == "pauli":
-        n, q = 2, draw(st.sampled_from(Q12))
-    elif family == "het":
-        # the (4q)^(n-1) heterogeneous labels are enumerated with their dense
-        # forms; keep to the sets of at most 4096 labels
-        n, q = draw(st.sampled_from([(3, 4), (3, 8), (3, 12), (4, 4)]))
-    else:
-        n, q = draw(st.integers(3, 5)), draw(st.sampled_from(Q12))
+    family = draw(st.sampled_from(["pauli", "elementary", "full", "het"]))
+    n = 2 if family == "pauli" else draw(st.integers(2, 6))
+    q = draw(st.sampled_from(Q12))
     tl = draw(st.sampled_from([n, 2 * n - 1]))
     return family, n, q, tl, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
 
@@ -489,27 +441,35 @@ def _kernel_cases(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(_kernel_cases())
 def test_index_mult_property(case):
+    # the kernel runs over the slot codes of the drawn labels only, so any
+    # (n, q) works without enumerating the family; each product, decoded from
+    # its label index, must lower to the dense product of its factors
     family, n, q, tl, chained, seed = case
-    fam, labels = _context(family, n, q)
-    _, mult, index = _SCALAR[family]
+    _, order = phases.family_size(family, n, q)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, fam.order, size=(8, tl))
+    idx = rng.integers(0, order, size=(128, tl))
     if family == "elementary" and chained:
         # nonzero products need positions k, k+1, ... (cyclic); random rows
         # almost never chain
         m = n - 1
-        k0 = (rng.integers(0, m, size=(8, 1)) + np.arange(tl)) % m
-        j = rng.integers(0, 4, size=(8, tl))
-        idx = (j * m + k0) * q + rng.integers(0, q, size=(8, tl))
-    got = fam.index_mult(idx)
-    want = [index(mult([labels[i] for i in row], n), n, q) for row in idx]
-    assert got.tolist() == want
+        k0 = (rng.integers(0, m, size=(128, 1)) + np.arange(tl)) % m
+        j = rng.integers(0, 4, size=(128, tl))
+        idx = (j * m + k0) * q + rng.integers(0, q, size=(128, tl))
+    slots = phases.family_slots(family, n, q, idx.ravel())
+    index_mult = phases._slot_kernel(family, q, slots)
+    rows = np.arange(idx.size).reshape(idx.shape)
+    got = index_mult(rows)
+    d = 2 * (n - 1)
+    mats = phases.lower_slots(slots.T, n, q).reshape(*idx.shape, d, d)
+    prod = functools.reduce(np.matmul, mats.swapaxes(0, 1))
+    want = phases.lower_slots(phases.family_slots(family, n, q, got).T, n, q)
+    assert np.abs(prod - want).max() <= 1e-12
     if family == "elementary" and chained:
-        assert all(w != fam.order - 1 for w in want)
+        assert (got != order - 1).all()
 
-    shared = fam.index_mult(idx[:3, :-1], every_last=True)
-    every = np.arange(fam.order)
-    flat = [fam.index_mult(np.column_stack([np.tile(p, (fam.order, 1)), every]))
-            for p in idx[:3, :-1]]
-    assert shared.shape == (3, fam.order)
+    shared = index_mult(rows[:3, :-1], every_last=True)
+    every = np.arange(idx.size)
+    flat = [index_mult(np.column_stack([np.tile(p, (idx.size, 1)), every]))
+            for p in rows[:3, :-1]]
+    assert shared.shape == (3, idx.size)
     assert np.array_equal(shared, np.stack(flat))

@@ -1,13 +1,14 @@
 """Phase-shifted finite structures: labels, multiplication rules, builders."""
 
 import dataclasses
+import functools
 from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from polysigma import ArityError, DomainError, ValidationError, phases
+from polysigma import ArityError, DomainError, ValidationError, cli, phases
 from polysigma.matrices import sigma
 from polysigma.oracle import family_context
 from polysigma.phases import (
@@ -525,62 +526,143 @@ def test_structure_report_json_schema():
     assert r.to_json() == r.to_json()
 
 
+def test_failed_identity_fails_the_report_not_associativity(monkeypatch, tmp_path):
+    # a doctored identity hook names a label that is no identity: the report
+    # must show it as a failed identity, with associativity still true
+    spec = dataclasses.replace(phases._STRUCTURES["full"],
+                               identity=lambda n, q: FullLabel(q, n, 0, 1))
+    monkeypatch.setitem(phases._STRUCTURES, "full", spec)
+    r = build_full_group(3, 4)
+    assert (r.identity, r.assoc, r.closure, r.querelement) == (None, True, True, True)
+    assert not r.passed and not r.to_dict()["passed"]
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--family", "full", "--n", "3", "--q", "4",
+                     "--out", str(out)]) == 1
+
+
 # ---------------------------------------------------------------------------
-# the structure checks, batched over label indices, against the scalar
+# the structure checks, batched over label indices, against lowered dense
 # products, per element
 
-_SCALAR_MUL = {
-    "pauli": lambda labs, n: pauli_mul(*labs),
-    "elementary": elementary_nary_mul,
-    "full": full_nary_mul,
-    "het": het_nary_mul,
-}
+
+def _dense_eq(a, b):
+    """Per matrix of two stacks: equal up to rounding.  Distinct labels
+    lower to matrices that differ by far more."""
+    return np.abs(a - b).max(axis=(-2, -1)) <= 1e-9
 
 
 @pytest.mark.parametrize("family, n, q", [
     ("pauli", 2, 4), ("pauli", 2, 12), ("elementary", 3, 4), ("elementary", 4, 8),
     ("full", 3, 8), ("full", 4, 4), ("het", 3, 4), ("het", 4, 4),
+    # further arities up to 6 and moduli up to 360, with n = 2 for the
+    # n-ary families, where the kernel and the formulas hold as well
+    ("pauli", 2, 360), ("elementary", 2, 8), ("elementary", 6, 36),
+    ("full", 2, 20), ("full", 5, 360), ("full", 6, 12), ("het", 2, 36),
+    ("het", 3, 12),
 ])
 def test_structure_checks_match_scalar_products(family, n, q):
     fam = family_context(family, n, q)
     spec = phases._STRUCTURES[family]
-    mult = _SCALAR_MUL[family]
     rng = np.random.default_rng(11)
     elems = (np.arange(fam.order) if fam.order <= 512
              else rng.choice(fam.order, size=300, replace=False))
-    labels = [fam.labels[i] for i in elems]
-    index = {lab: i for i, lab in enumerate(fam.labels)}
+    a = fam.dense_stack[elems]
 
+    # an order l is the first l at which the (l(n-1)+1)-fold power of a
+    # equals a; 0 if it first equals the power before it (absorbed)
     cap = spec.hist_cap(fam.order, q)
-    if family == "pauli":
-        want = [pauli_element_order(a) for a in labels]
-    else:
-        want = [nary_element_order(a, mult, n, cap) or 0 for a in labels]
-    assert phases._element_orders(fam, elems, cap).tolist() == want
+    power = np.linalg.matrix_power(a, n - 1)
+    want = np.zeros(len(elems), dtype=np.int64)
+    live, cur = np.ones(len(elems), dtype=bool), a
+    for l in range(1, cap + 1):
+        if not live.any():
+            break
+        nxt = cur @ power
+        back = live & _dense_eq(nxt, a)
+        want[back] = l
+        live &= ~back & ~_dense_eq(nxt, cur)
+        cur = nxt
+    assert phases._element_orders(fam, elems, cap).tolist() == want.tolist()
 
     # the identity, and a label that is not one
     for e in (0, 1):
-        ident = fam.labels[e]
-        want = [mult([ident] * (n - 1) + [a], n) == a
-                and mult([a] + [ident] * (n - 1), n) == a for a in labels]
-        assert phases._identity_holds(fam, e, elems).tolist() == want
+        ee = np.linalg.matrix_power(fam.dense_stack[e], n - 1)
+        want = _dense_eq(ee @ a, a) & _dense_eq(a @ ee, a)
+        assert phases._identity_holds(fam, e, elems).tolist() == want.tolist()
 
-    # the public formulas, and a wrong one that must fail somewhere
-    wrong = lambda a: a  # noqa: E731
+    # the slot-code formulas, and a wrong one that must fail somewhere
+    encode = phases._slot_index(family, q, len(fam.slots))
+    wrong = lambda codes, n, q: codes  # noqa: E731
     for formula in (*spec.inverses(n), wrong):
-        inv = [formula(a) for a in labels]
+        codes = formula(fam.slots[:, elems], n, q)
+        b = phases.lower_slots(np.transpose(codes), n, q)
         if spec.binary:
-            e = pauli_identity(q)
-            target = index[e]
-            want = [pauli_mul(a, b) == e and pauli_mul(b, a) == e
-                    for a, b in zip(labels, inv)]
+            target = 0  # s0r0
+            want = _dense_eq(a @ b, np.eye(2)) & _dense_eq(b @ a, np.eye(2))
         else:
             target = elems
-            want = [all(mult([b if t == pos else a for t in range(n)], n) == a
-                        for pos in range(n)) for a, b in zip(labels, inv)]
-        got = phases._inverse_holds(fam, elems, np.array([index[b] for b in inv]), target)
-        assert got.tolist() == want
-        assert all(want) == (formula is not wrong)
+            want = np.all([_dense_eq(functools.reduce(
+                np.matmul, [b if t == pos else a for t in range(n)]), a)
+                for pos in range(n)], axis=0)
+        got = phases._inverse_holds(fam, elems, encode(codes), target)
+        assert got.tolist() == want.tolist()
+        assert want.all() == (formula is not wrong)
+
+
+def test_family_slots_follow_the_canonical_order():
+    # the orders written out: sigma indices, then the elementary position,
+    # then the phase indices, first slot most significant; zero last
+    for n, q in ((3, 4), (4, 4)):
+        m = n - 1
+        want = [[j * q + r for j, r in zip(js, rs)]
+                for js in product(range(4), repeat=m)
+                for rs in product(range(q), repeat=m)]
+        assert phases.family_slots("het", n, q).T.tolist() == want
+        assert family_context("het", n, q).slots.T.tolist() == want
+    n, q, m = 4, 8, 3
+    want = [[j * q + r if s == k else 4 * q for s in range(m)]
+            for j, k, r in product(range(4), range(m), range(q))] + [[4 * q] * m]
+    assert phases.family_slots("elementary", n, q).T.tolist() == want
+    assert family_context("elementary", n, q).slots.T.tolist() == want
+
+
+def test_public_products_run_without_the_family():
+    # het (6, 360) has 1440^5 labels: no public product or querelement may
+    # enumerate its family, and each must equal the lowered dense product
+    before = family_context.cache_info()
+    rng = np.random.default_rng(3)
+    n, q, m = 6, 360, 5
+
+    def dense(labels):
+        return functools.reduce(np.matmul, [lab.dense() for lab in labels])
+
+    def quer_holds(s, qs):
+        for pos in range(n):
+            factors = [s] * n
+            factors[pos] = qs
+            assert_close(dense(factors), s.dense(), 1e-12)
+
+    het = [HetLabel(q, n, rng.integers(0, 4, m), rng.integers(0, q, m))
+           for _ in range(2 * m + 1)]
+    full = [FullLabel(q, n, int(rng.integers(4)), int(rng.integers(q)))
+            for _ in range(2 * m + 1)]
+    for labels in (het[:n], het):
+        assert_close(het_nary_mul(labels, n).dense(), dense(labels), 1e-12)
+    for labels in (full[:n], full):
+        assert_close(full_nary_mul(labels, n).dense(), dense(labels), 1e-12)
+    k = int(rng.integers(m))
+    chain = [ElementaryLabel(q, n, int(rng.integers(4)), (k + t) % m + 1,
+                             int(rng.integers(q))) for t in range(n)]
+    assert not isinstance(elementary_nary_mul(chain, n), ZeroLabel)
+    assert isinstance(elementary_nary_mul(chain[::-1], n), ZeroLabel)
+    for labels in (chain, chain[::-1]):
+        assert_close(elementary_nary_mul(labels, n).dense(), dense(labels), 1e-12)
+    a, b = PauliLabel(q, 1, 7), PauliLabel(q, 2, 300)
+    assert_close(pauli_mul(a, b).dense(), a.dense() @ b.dense(), 1e-12)
+    assert_close(a.dense() @ pauli_inverse(a).dense(), np.eye(2), 1e-12)
+    quer_holds(het[0], het_querelement_general(het[0]))
+    quer_holds(full[0], full_querelement(full[0]))
+    assert family_context.cache_info() == before
 
 
 @pytest.mark.parametrize("pick", [0, 1, 2])
