@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -204,13 +203,12 @@ def _relaxed_element(data: dict) -> BlockCyclicMatrix:
     """Cyclic block matrix from {"arity", "blocks"} without the unit-norm
     check, so identity-coefficient elements are accepted."""
     arity = data["arity"]
-    if not isinstance(arity, int):
+    if not su2.is_json_int(arity):
         raise DomainError(f"arity must be an integer, got {arity!r}")
     blocks = []
     for b in data["blocks"]:
         coeffs = [b["x0"], *b["x"]]
-        if len(coeffs) != 4 or not all(isinstance(v, (int, float)) and math.isfinite(v)
-                                       for v in coeffs):
+        if len(coeffs) != 4 or not all(su2.is_json_real(v) for v in coeffs):
             raise DomainError(f"a block needs a finite x0 and three finite x, got {b!r}")
         x0, x1, x2, x3 = (float(v) for v in coeffs)
         blocks.append(
@@ -253,6 +251,16 @@ def cmd_rules(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polysigma",
@@ -261,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_n=True):
-        if with_n:
-            p.add_argument("--n", type=int, default=3, help="arity (default 3)")
+    def common(p):
+        p.add_argument("--n", type=int, default=3, help="arity (default 3)")
         p.add_argument("--q", type=int, default=4, choices=Q12,
                        help="phase modulus (default 4)")
 
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("pauli", "elementary", "full", "het"))
     common(p)
     p.add_argument("--mode", choices=("auto", "exhaustive", "sample"), default="auto")
-    p.add_argument("--seed", type=int, default=_DEF_SEED)
+    p.add_argument("--seed", type=_seed, default=_DEF_SEED)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
                    help="product budget for exhaustive sweeps")
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile", help="JSON file of element tuples")
     src.add_argument("--random", type=int, help="generate this many random tuples")
-    p.add_argument("--seed", type=int, default=_DEF_SEED)
+    p.add_argument("--seed", type=_seed, default=_DEF_SEED)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", help="write results JSON here (default stdout)")
     p.set_defaults(func=cmd_param_mul)

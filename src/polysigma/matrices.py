@@ -4,15 +4,22 @@ This is the numeric substrate used by the verification oracle.  Everything
 symbolic (phase indices, element labels) lives in other modules as exact
 integers; the matrices here are plain ``numpy`` ``complex128`` arrays and are
 only ever compared within explicit tolerances.
+
+The cyclic-shift geometry lives here once, for matrices and labels alike:
+where block s sits (``cyclic_dense``), which factor blocks a product's block s
+multiplies (``cyclic_fold``) and which factor counts close
+(``check_factor_count``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ArityError, DomainError, ValidationError
 
 #: default tolerance for entrywise comparison of products of unit-magnitude
 #: matrices; determinants of larger matrices use DET_TOL.
@@ -89,6 +96,32 @@ def allclose(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return max_abs_diff(a, b) <= tol
 
 
+def cyclic_dense(blocks) -> np.ndarray:
+    """Dense forms (..., 2m, 2m) of cyclic-shift matrices with blocks
+    (..., m, 2, 2): block s sits at block position (s, s+1 mod m)."""
+    blocks = np.asarray(blocks, dtype=np.complex128)
+    lead, m = blocks.shape[:-3], blocks.shape[-3]
+    out = np.zeros(lead + (m, m, 2, 2), dtype=np.complex128)
+    s = np.arange(m)
+    out[..., s, (s + 1) % m, :, :] = blocks
+    return out.swapaxes(-3, -2).reshape(lead + (2 * m, 2 * m))
+
+
+def cyclic_fold(factors: Sequence, mul: Callable) -> list:
+    """Blocks of the product of cyclic-shift factors, each given by its m
+    blocks: block s is the ``mul``-product, left to right, over factors t of
+    block (s + t) mod m."""
+    m = len(factors[0])
+    return [functools.reduce(mul, (f[(s + t) % m] for t, f in enumerate(factors)))
+            for s in range(m)]
+
+
+def check_factor_count(count: int, n: int) -> None:
+    """A product of arity n closes only for l*(n-1)+1 factors, l >= 1."""
+    if count < n or (count - 1) % (n - 1) != 0:
+        raise ArityError(f"a {n}-ary product takes l*{n - 1}+1 factors, got {count}")
+
+
 @dataclass(frozen=True, eq=False)
 class BlockCyclicMatrix:
     """2(n-1) x 2(n-1) matrix whose only nonzero 2x2 blocks sit on the cyclic
@@ -131,12 +164,7 @@ class BlockCyclicMatrix:
         return self.blocks[k - 1]
 
     def dense(self) -> np.ndarray:
-        m = self.arity - 1
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for i in range(m):
-            c = (i + 1) % m
-            out[2 * i:2 * i + 2, 2 * c:2 * c + 2] = self.blocks[i]
-        return out
+        return cyclic_dense(self.blocks)
 
     @classmethod
     def from_dense(cls, a: np.ndarray, arity: int, tol: float = 0.0) -> "BlockCyclicMatrix":
@@ -146,14 +174,11 @@ class BlockCyclicMatrix:
         m = arity - 1
         if a.shape[0] != 2 * m:
             raise DomainError(f"dense dim {a.shape[0]} does not match arity {arity}")
-        blocks = []
-        mask = np.ones_like(a, dtype=bool)
-        for i in range(m):
-            c = (i + 1) % m
-            blocks.append(a[2 * i:2 * i + 2, 2 * c:2 * c + 2])
-            mask[2 * i:2 * i + 2, 2 * c:2 * c + 2] = False
-        stray = float(np.abs(a[mask]).max()) if mask.any() else 0.0
-        if stray > tol:
+        # the pattern's entries, read row-major, are the blocks in order
+        pattern = cyclic_dense(np.ones((m, 2, 2))) != 0
+        blocks = a[pattern].reshape(m, 2, 2)
+        stray = float(np.abs(a - cyclic_dense(blocks)).max(initial=0.0))
+        if not stray <= tol:  # a NaN entry fails too
             raise DomainError(f"off-pattern entries up to {stray} exceed tolerance {tol}")
         return cls(arity, tuple(blocks))
 

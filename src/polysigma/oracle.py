@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
@@ -239,6 +240,12 @@ def _assoc_on_tuples(fam: _Family,
     return 0.0, bad, idx[bad]
 
 
+def _check_tolerance(tol: float) -> None:
+    # under a NaN tolerance every dev > tol is False, so every check passes
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tolerance must be positive")
+
+
 #: tuples per exhaustive chunk; bounds the chunk's working memory.
 _CHUNK = 1 << 17
 #: rows per slice of a seeded sample; bounds a slice's working memory.
@@ -259,6 +266,7 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     w = worker_count(workers)
     if mode not in ("auto", "exhaustive", "sample"):
         raise DomainError(f"mode must be auto|exhaustive|sample, got {mode!r}")
+    _check_tolerance(tol)
     closure = kind == "closure"
     tuple_len = fam.mult_len if closure else 2 * fam.mult_len - 1
     total = fam.order ** tuple_len
@@ -412,8 +420,7 @@ class VerificationCase:
     tolerance: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise DomainError("tolerance must be positive")
+        _check_tolerance(self.tolerance)
         object.__setattr__(self, "operands", tuple(self.operands))
         if not self.operands:
             raise DomainError("at least one operand required")

@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, Iterable, Sequence
 import numpy as np
 
 from .errors import ArityError, DomainError, ValidationError
-from .matrices import DEFAULT_TOL, sigma
+from .matrices import DEFAULT_TOL, check_factor_count, cyclic_dense, cyclic_fold, sigma
 from .sigma_algebra import levi_civita, mul_sigma_indices
 
 #: the twelve admissible phase moduli.
@@ -83,15 +83,9 @@ def _block_table(q: int) -> np.ndarray:
 
 def lower_slots(codes, n: int, q: int) -> np.ndarray:
     """Dense forms of the labels with slot codes ``codes`` (..., n-1): slot s
-    is the 2x2 block at cyclic block position (s, s+1).  A single slot
-    (..., 1) fills every block."""
-    m = n - 1
+    is the label's block s.  A single slot (..., 1) fills every block."""
     blocks = _block_table(q)[np.asarray(codes)]
-    lead = blocks.shape[:-3]
-    out = np.zeros(lead + (m, m, 2, 2), dtype=np.complex128)
-    s = np.arange(m)
-    out[..., s, (s + 1) % m, :, :] = blocks
-    return out.swapaxes(-3, -2).reshape(lead + (2 * m, 2 * m))
+    return cyclic_dense(np.broadcast_to(blocks, blocks.shape[:-3] + (n - 1, 2, 2)))
 
 
 class _Label:
@@ -223,16 +217,17 @@ class HetLabel(_Label):
 # the label algebra
 #
 # Result slot s of a product is the product over factors t of factor t's slot
-# (s + t) mod m, so zero factors and non-chaining elementary tuples fall out
-# of the Cayley table's zero row and column.
+# (s + t) mod m (``matrices.cyclic_fold``), so zero factors and non-chaining
+# elementary tuples fall out of the Cayley table's zero row and column.
 
 
 @functools.cache
 def _cayley_table(q: int) -> np.ndarray:
     """(4q+1, 4q+1) read-only Cayley table of G_q plus the absorbing zero 4q,
-    filled one (q, q) block per pair of sigma indices."""
+    filled one (q, q) block per pair of sigma indices.  int32 holds every
+    code and, at q = 360, the fold's flat index below 2^21."""
     sums = np.add.outer(np.arange(q), np.arange(q))
-    table = np.full((4 * q + 1, 4 * q + 1), 4 * q, dtype=np.int64)
+    table = np.full((4 * q + 1, 4 * q + 1), 4 * q, dtype=np.int32)
     for a in range(4):
         for b in range(4):
             j, quarter = mul_sigma_indices(a, b)
@@ -248,14 +243,7 @@ def _slot_fold(q: int, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
     the shapes after the factors' slot axis broadcast."""
     table = _cayley_table(q).ravel()  # one flat gather beats table[a, b]
     width = 4 * q + 1
-    m = len(factors[0])
-    out = []
-    for s in range(m):
-        acc = factors[0][s]
-        for t in range(1, len(factors)):
-            acc = table[acc * width + factors[t][(s + t) % m]]
-        out.append(acc)
-    return out
+    return cyclic_fold(factors, lambda acc, code: table[acc * width + code])
 
 
 def _slot_index(name: str, q: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -432,11 +420,6 @@ def pauli_inverse(a: PauliLabel) -> PauliLabel:
     return _one_row(_pauli_inverse, "pauli", a, 2)
 
 
-def _check_nary_count(count: int, n: int) -> None:
-    if count < n or (count - 1) % (n - 1) != 0:
-        raise ArityError(f"a {n}-ary product takes l*{n - 1}+1 factors, got {count}")
-
-
 def elementary_nary_mul(
     labels: Sequence[ElementaryLabel | ZeroLabel], n: int
 ) -> ElementaryLabel | ZeroLabel:
@@ -450,7 +433,7 @@ def elementary_nary_mul(
 def full_nary_mul(labels: Sequence[FullLabel], n: int) -> FullLabel:
     """Product of l*(n-1)+1 phase-shifted full labels: one reduced sigma word,
     phases and quarter-turn shifts added mod q."""
-    _check_nary_count(len(labels), n)
+    check_factor_count(len(labels), n)
     return _product("full", labels, n)
 
 
@@ -481,7 +464,7 @@ def het_nary_mul(labels: Sequence[HetLabel], n: int) -> HetLabel:
     """Product of l*(n-1)+1 heterogeneous labels, block-wise: result block s
     is the reduced word of the factors' blocks at positions s, s+1, ...
     (cyclic), with phase indices added mod q."""
-    _check_nary_count(len(labels), n)
+    check_factor_count(len(labels), n)
     return _product("het", labels, n)
 
 

@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArityError, DomainError, ValidationError
-from .matrices import BlockCyclicMatrix, sigma
+from .errors import DomainError, ValidationError
+from .matrices import BlockCyclicMatrix, check_factor_count, sigma
 from .su2 import PolyadicSU2Element
 
 _EPS = {
@@ -346,12 +346,10 @@ def nary_power(s: FullSigma, count: int) -> FullSigma:
     so the result has the same index for odd counts and index 0 for even
     counts.  No phase ever arises.
     """
-    n = s.arity
-    if count < n or (count - 1) % (n - 1) != 0:
-        raise ArityError(f"a {n}-ary power takes l*{n - 1}+1 factors, got {count}")
+    check_factor_count(count, s.arity)
     j, quarter = reduce_sigma_word([s.j] * count)
     assert quarter == 0
-    return FullSigma(n, j)
+    return FullSigma(s.arity, j)
 
 
 def ternary_full_product(a: FullSigma, b: FullSigma, c: FullSigma) -> SignedFull:

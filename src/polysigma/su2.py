@@ -25,6 +25,16 @@ from .matrices import BlockCyclicMatrix
 NORM_TOL = 1e-9
 
 
+def is_json_int(v) -> bool:
+    """An integer read from JSON; a bool is an int to Python, not here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_json_real(v) -> bool:
+    """A finite number read from JSON, bools excluded."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class SU2Params:
     """Real 4-vector (x0, x1, x2, x3) with x0^2 + |x|^2 = 1, parameterizing one
@@ -64,7 +74,10 @@ class SU2Params:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SU2Params":
-        return cls(d["x0"], tuple(d["x"]))
+        coeffs = [d["x0"], *d["x"]]
+        if not all(is_json_real(v) for v in coeffs):
+            raise DomainError(f"parameters must be finite numbers, got {d!r}")
+        return cls(coeffs[0], tuple(coeffs[1:]))
 
 
 def binary_su2_matrix(p: SU2Params) -> np.ndarray:
@@ -113,7 +126,9 @@ class PolyadicSU2Element:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PolyadicSU2Element":
-        return cls(int(d["arity"]), tuple(SU2Params.from_dict(b) for b in d["blocks"]))
+        if not is_json_int(d["arity"]):
+            raise DomainError(f"arity must be an integer, got {d['arity']!r}")
+        return cls(d["arity"], tuple(SU2Params.from_dict(b) for b in d["blocks"]))
 
     @classmethod
     def random(cls, rng: np.random.Generator, arity: int) -> "PolyadicSU2Element":
@@ -129,14 +144,6 @@ def to_matrix(e: PolyadicSU2Element) -> BlockCyclicMatrix:
     return e.matrix()
 
 
-def _check_factor_count(count: int, arity: int) -> None:
-    # allowed counts are l*(n-1)+1, l >= 1
-    if count < arity or (count - 1) % (arity - 1) != 0:
-        raise ArityError(
-            f"a {arity}-ary product takes l*{arity - 1}+1 factors, got {count}"
-        )
-
-
 def nary_product(factors: Sequence[BlockCyclicMatrix], arity: int) -> BlockCyclicMatrix:
     """Product of l*(n-1)+1 cyclic-shift block matrices, computed block-wise.
 
@@ -145,18 +152,12 @@ def nary_product(factors: Sequence[BlockCyclicMatrix], arity: int) -> BlockCycli
     product of all factors.
     """
     factors = list(factors)
-    _check_factor_count(len(factors), arity)
+    matrices.check_factor_count(len(factors), arity)
     for f in factors:
         if f.arity != arity:
             raise ArityError(f"factor arity {f.arity} != {arity}")
-    m = arity - 1
-    blocks = []
-    for k in range(m):
-        acc = np.eye(2, dtype=np.complex128)
-        for t, f in enumerate(factors):
-            acc = acc @ f.blocks[(k + t) % m]
-        blocks.append(acc)
-    return BlockCyclicMatrix(arity, tuple(blocks))
+    return BlockCyclicMatrix(
+        arity, tuple(matrices.cyclic_fold([f.blocks for f in factors], np.matmul)))
 
 
 def _inv2(b: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ traces, exit codes, determinism."""
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,14 @@ from polysigma.cli import main
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def exit_code(args):
+    """The process exit code of a run, usage errors from argparse included."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +140,16 @@ def test_verify_exhaustive_over_budget_is_usage_error(tmp_path):
                 "--mode", "exhaustive", "--budget", "1000",
                 "--out", tmp_path / "r.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "pauli", "--q", "4", "--tol", "nan"],
+    ["--family", "pauli", "--q", "4", "--tol", "-1"],
+    ["--family", "het", "--n", "3", "--q", "4", "--mode", "sample", "--seed", "-1"],
+], ids=["tol-nan", "tol-negative", "seed-negative"])
+def test_verify_bad_tolerance_or_seed_is_usage_error(tmp_path, args):
+    assert exit_code(["verify", *args, "--out", tmp_path / "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_determinism(tmp_path):
@@ -257,6 +276,27 @@ def test_param_mul_malformed_input(tmp_path):
     assert run(["param-mul", "--n", "2", "--in", bad4]) == 2
 
 
+_UNIT = {"x0": 1.0, "x": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("element", [
+    {"arity": 3.9, "blocks": [_UNIT, _UNIT]},                    # truncated by int()
+    {"arity": True, "blocks": [_UNIT, _UNIT]},
+    {"arity": 3, "blocks": [{"x0": "1.0", "x": [0.0, 0.0, 0.0]}, _UNIT]},
+    {"arity": 3, "blocks": [{"x0": "a", "x": [0.0, 0.0, 0.0]}, _UNIT]},
+    {"arity": 3, "blocks": [{"x0": True, "x": [0.0, 0.0, 0.0]}, _UNIT]},
+    {"arity": 3, "blocks": [{"x0": 1.0, "x": [0.0, False, 0.0]}, _UNIT]},
+], ids=["arity-float", "arity-bool", "x0-string", "x0-word", "x0-bool", "x-bool"])
+def test_param_mul_malformed_element_is_input_error(tmp_path, element):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"arity": 3, "tuples": [[element] * 3]}))
+    assert exit_code(["param-mul", "--n", "3", "--in", bad]) == 2
+
+
+def test_param_mul_negative_seed_is_usage_error():
+    assert exit_code(["param-mul", "--random", "2", "--seed", "-1"]) == 2
+
+
 def test_param_mul_mixed_arities_is_input_error(tmp_path):
     unit = {"x0": 1.0, "x": [0.0, 0.0, 0.0]}
     ternary = {"arity": 3, "blocks": [unit, unit]}
@@ -329,6 +369,8 @@ def test_trace_malformed(tmp_path):
     (3, {"x0": 1.0, "x": [0.0, "y", 0.0]}),       # non-numeric x component
     ("three", {"x0": 1.0, "x": [0.0, 0.0, 0.0]}),  # non-integer arity
     (4, {"x0": 1.0, "x": [0.0, 0.0, 0.0]}),       # 2 blocks for arity 4
+    (True, {"x0": 1.0, "x": [0.0, 0.0, 0.0]}),    # bool arity
+    (3, {"x0": True, "x": [0.0, 0.0, 0.0]}),      # bool x0
 ])
 def test_trace_malformed_element_is_input_error(tmp_path, arity, block):
     bad = tmp_path / "bad.json"
@@ -356,17 +398,26 @@ def test_rules_dump(tmp_path):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_benchmark_tracer_installs_and_verify_runs():
-    # perfbench/tracing.py wraps module attributes of phases and oracle and
-    # swaps the index_mult field of the family context; a renamed hook
-    # breaks `perfbench/run.py --trace 1`
-    code = ("import sys\n"
-            "sys.path[:0] = sys.argv[1:]\n"
+def test_benchmark_tracer_installs_and_verify_runs(tmp_path):
+    # perfbench/tracing.py wraps module attributes of cli, phases, oracle and
+    # matrices and swaps the index_mult field of the family context; a renamed
+    # hook breaks `perfbench/run.py --trace 1`
+    code = ("import json, sys\n"
             "import tracing\n"
             "from polysigma import cli\n"
-            "tracing.install(tracing.Tracer())\n"
-            "sys.exit(cli.main(['verify', '--family', 'pauli', '--q', '4']))\n")
+            "tracer = tracing.Tracer()\n"
+            "tracing.install(tracer)\n"
+            "code = cli.main(['verify', '--family', 'full', '--n', '3', '--q', '4',\n"
+            "                 '--out', sys.argv[1]])\n"
+            "print(json.dumps(sorted({tracer.names[i] for i in tracer.name_id})))\n"
+            "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
-        capture_output=True, text=True, timeout=120)
+        [sys.executable, "-c", code, str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+    spans = set(json.loads(proc.stdout))
+    assert {"cli.main", "phases.build", "oracle.closure_check", "oracle.assoc_check",
+            "oracle.family_context", "oracle.index_mult",
+            "oracle.querelement_check"} <= spans

@@ -1,10 +1,21 @@
 """Dense substrate: sigma blocks, products, Hadamard, determinant, block form."""
 
+import operator
+
 import numpy as np
 import pytest
 
-from polysigma import BlockCyclicMatrix, DomainError, ValidationError
-from polysigma.matrices import det, hadamard, hermitian, mat_mul, sigma, trace
+from polysigma import ArityError, BlockCyclicMatrix, DomainError, ValidationError
+from polysigma.matrices import (
+    check_factor_count,
+    cyclic_fold,
+    det,
+    hadamard,
+    hermitian,
+    mat_mul,
+    sigma,
+    trace,
+)
 from polysigma.su2 import random_su2_params
 
 from conftest import assert_close
@@ -130,10 +141,55 @@ def test_block_roundtrip(rng):
         assert_close(a, b, 0.0)
 
 
+#: block s of a cyclic-shift matrix at (block row, block column), written out
+PLACEMENT = {
+    4: [(0, 1), (1, 2), (2, 0)],
+    5: [(0, 1), (1, 2), (2, 3), (3, 0)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PLACEMENT))
+def test_dense_places_block_s_at_s_plus_one(rng, n):
+    # distinct blocks, so a transposed or reversed shift cannot pass
+    blocks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+              for _ in range(n - 1)]
+    want = np.zeros((2 * (n - 1), 2 * (n - 1)), dtype=complex)
+    for b, (r, c) in zip(blocks, PLACEMENT[n]):
+        want[2 * r:2 * r + 2, 2 * c:2 * c + 2] = b
+    m = BlockCyclicMatrix(n, tuple(blocks))
+    assert m.dense().tobytes() == want.tobytes()
+    back = BlockCyclicMatrix.from_dense(want, n)
+    assert all(np.array_equal(a, b) for a, b in zip(back.blocks, blocks))
+
+
+def test_cyclic_fold_multiplies_block_s_plus_t_of_factor_t():
+    # string concatenation does not commute, so the order is pinned too
+    factors = [["a0", "a1", "a2"], ["b0", "b1", "b2"], ["c0", "c1", "c2"],
+               ["d0", "d1", "d2"]]
+    assert cyclic_fold(factors, operator.add) == [
+        "a0b1c2d0", "a1b2c0d1", "a2b0c1d2"]
+    assert cyclic_fold([["x", "y"]], operator.add) == ["x", "y"]
+
+
+def test_check_factor_count():
+    for n, ok in ((2, range(2, 11)), (3, (3, 5, 7, 9)), (4, (4, 7, 10))):
+        for count in range(1, 11):
+            if count in ok:
+                check_factor_count(count, n)
+            else:
+                with pytest.raises(ArityError, match=rf"^a {n}-ary product takes "
+                                   rf"l\*{n - 1}\+1 factors, got {count}$"):
+                    check_factor_count(count, n)
+
+
 def test_from_dense_rejects_off_pattern():
     bad = np.ones((4, 4), dtype=complex)
     with pytest.raises(DomainError):
         BlockCyclicMatrix.from_dense(bad, 3)
+    nan = BlockCyclicMatrix(3, (np.eye(2), np.eye(2))).dense()
+    nan[0, 0] = np.nan  # block (0, 0) is off the pattern at n = 3
+    with pytest.raises(DomainError):
+        BlockCyclicMatrix.from_dense(nan, 3)
 
 
 def test_block_count_validation():

@@ -244,6 +244,17 @@ def test_check_mode_and_budget_gate(check, refusal):
     assert res.checked == res.total == 50
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_check_gate_refuses_a_tolerance_that_is_not_positive(tol):
+    # every dev > tol is False under a NaN tolerance, so it would pass anything
+    with pytest.raises(DomainError, match="^tolerance must be positive$"):
+        closure_check("pauli", 2, 4, tol=tol)
+    with pytest.raises(DomainError, match="^tolerance must be positive$"):
+        exhaustive_sweep("pauli", 2, 4, 2, tol=tol)
+    with pytest.raises(DomainError, match="^tolerance must be positive$"):
+        VerificationCase("pauli", (PauliLabel(4, 0, 0),), PauliLabel(4, 0, 0), tol)
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("POLYSIGMA_THREADS", "1")
     assert worker_count(8) == 1
@@ -266,6 +277,16 @@ def test_querelement_dense_checks(monkeypatch):
     monkeypatch.setattr(phases, "het_querelement", lambda a: a)
     assert querelement_dense_check("full", 3, 4) > 1
     assert het_querelement_inverse_check(4) > 1
+
+
+@pytest.mark.parametrize("n, public", [(3, "het_querelement"),
+                                       (4, "het_querelement_general")])
+def test_het_querelement_dense_check(monkeypatch, n, public):
+    assert querelement_dense_check("het", n, 4) <= 1e-12
+    # the check lowers the public formula's results; the identity map is no
+    # querelement, and the check must see that
+    monkeypatch.setattr(phases, public, lambda a: a)
+    assert querelement_dense_check("het", n, 4) > 1
 
 
 def test_junit_emitter():

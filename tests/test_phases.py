@@ -87,6 +87,27 @@ def test_levi_civita_phase():
         levi_civita_phase(0, 1, 2, 4)
 
 
+@pytest.mark.parametrize("n, placement", [
+    (4, [(0, 1), (1, 2), (2, 0)]),
+    (5, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+])
+def test_lower_slots_places_slot_s_at_s_plus_one(n, placement):
+    # slot s at (block row, block column) written out; the slots are distinct,
+    # so a transposed or reversed shift cannot pass
+    q = 4
+    js, rs = (1, 2, 3, 0)[:n - 1], (1, 3, 0, 2)[:n - 1]
+    want = np.zeros((2 * (n - 1), 2 * (n - 1)), dtype=complex)
+    for j, r, (row, col) in zip(js, rs, placement):
+        want[2 * row:2 * row + 2, 2 * col:2 * col + 2] = phase(r, q) * sigma(j)
+    codes = [j * q + r for j, r in zip(js, rs)]
+    assert phases.lower_slots(codes, n, q).tobytes() == want.tobytes()
+    assert HetLabel(q, n, js, rs).dense().tobytes() == want.tobytes()
+    # a single slot fills every block
+    one = phases.lower_slots([codes[0]], n, q)
+    assert one.tobytes() == FullLabel(q, n, js[0], rs[0]).dense().tobytes()
+    assert one.tobytes() == phases.lower_slots([codes[0]] * (n - 1), n, q).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # binary phase-shifted sigma matrices
 
