@@ -8,7 +8,6 @@ Identical seed and configuration produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -41,12 +40,12 @@ def _result_fields(lab) -> list[str]:
     return [str(lab.j), "", str(lab.r)]
 
 
-def _cayley_rows(fam):
-    """Yield (operand label indices, result label index) in canonical
-    enumeration order, one chunk of rows at a time."""
+def _cayley_chunks(fam):
+    """Yield (operand label indices, result label indices) as arrays in
+    canonical enumeration order, one chunk of rows at a time."""
     for start, stop in phases._chunk_ranges(fam.order ** fam.mult_len, _CAYLEY_CHUNK):
         idx = phases._build_tuples(fam.order, fam.mult_len, start, stop)
-        yield from zip(idx.tolist(), fam.index_mult(idx).tolist())
+        yield idx, fam.index_mult(idx)
 
 
 def cmd_cayley(args) -> int:
@@ -64,23 +63,30 @@ def cmd_cayley(args) -> int:
     tokens = [lab.token() for lab in labels]
     fields = [_result_fields(lab) for lab in labels]
     if args.format == "csv":
+        # no token or field needs CSV quoting, so a row is its cells joined
+        # by "," and ended by "\r\n", as csv.writer writes it
+        heads = [tok + "," for tok in tokens]
+        tails = [",".join(f) + "\r\n" for f in fields]
         with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"op{i + 1}" for i in range(fam.mult_len)]
-                       + ["result_j", "result_k", "result_r"])
-            w.writerows([tokens[i] for i in ops] + fields[res]
-                        for ops, res in _cayley_rows(fam))
+            fh.write(",".join([f"op{i + 1}" for i in range(fam.mult_len)]
+                              + ["result_j", "result_k", "result_r"]) + "\r\n")
+            for idx, res in _cayley_chunks(fam):
+                columns = [[heads[i] for i in col] for col in idx.T.tolist()]
+                columns.append([tails[r] for r in res.tolist()])
+                fh.write("".join(map("".join, zip(*columns))))
     else:  # dense-json
         entries = []
-        for ops, res in _cayley_rows(fam):
-            prod_mat = fam.dense_stack[ops[0]]
-            for i in ops[1:]:
-                prod_mat = prod_mat @ fam.dense_stack[i]
-            entries.append({
-                "operands": [tokens[i] for i in ops],
-                "result": fields[res],
-                "dense": [[[z.real, z.imag] for z in row] for row in prod_mat.tolist()],
-            })
+        for idx, res in _cayley_chunks(fam):
+            for ops, r in zip(idx.tolist(), res.tolist()):
+                prod_mat = fam.dense_stack[ops[0]]
+                for i in ops[1:]:
+                    prod_mat = prod_mat @ fam.dense_stack[i]
+                entries.append({
+                    "operands": [tokens[i] for i in ops],
+                    "result": fields[r],
+                    "dense": [[[z.real, z.imag] for z in row]
+                              for row in prod_mat.tolist()],
+                })
         payload = {"family": args.family, "n": args.n, "q": args.q, "entries": entries}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
@@ -156,6 +162,7 @@ def _param_mul_one(elems: list[su2.PolyadicSU2Element], n: int):
 
 
 def cmd_param_mul(args) -> int:
+    oracle._check_tolerance(args.tol)
     n = args.n
     if args.random is not None:
         rng = np.random.default_rng(args.seed)
@@ -251,14 +258,17 @@ def cmd_rules(args) -> int:
 # parser
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {value}")
-    return value
+def _nonnegative(what: str):
+    """An argparse type for an integer >= 0, called ``what`` in its error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 0, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("pauli", "elementary", "full", "het"))
     common(p)
     p.add_argument("--mode", choices=("auto", "exhaustive", "sample"), default="auto")
-    p.add_argument("--seed", type=_seed, default=_DEF_SEED)
+    p.add_argument("--seed", type=_nonnegative("a seed"), default=_DEF_SEED)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
                    help="product budget for exhaustive sweeps")
@@ -302,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, choices=(2, 3), default=3)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile", help="JSON file of element tuples")
-    src.add_argument("--random", type=int, help="generate this many random tuples")
-    p.add_argument("--seed", type=_seed, default=_DEF_SEED)
+    src.add_argument("--random", type=_nonnegative("a tuple count"),
+                     help="generate this many random tuples")
+    p.add_argument("--seed", type=_nonnegative("a seed"), default=_DEF_SEED)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", help="write results JSON here (default stdout)")
     p.set_defaults(func=cmd_param_mul)

@@ -36,8 +36,10 @@ def worker_count(requested: int | None = None) -> int:
     """Worker count for parallel sweeps, capped by POLYSIGMA_THREADS."""
     if requested is None:
         cpus = os.cpu_count() or 1
-        # on 1-2 cores the chunked numpy kernels saturate memory bandwidth
-        # already; threads only add contention
+        # one worker on 1-2 cores: on 2 vCPUs (OpenBLAS 0.3.31) an exhaustive
+        # het (3, 4) closure with 2 workers took 1.9 s wall against 2.7 s,
+        # but 3.4 s of CPU against 2.7 s (+25-36% over runs) and 40 MB peak
+        # RSS against 35 MB; the second core buys wall time with CPU time
         requested = 1 if cpus <= 2 else min(4, cpus)
     cap = os.environ.get("POLYSIGMA_THREADS")
     if cap is not None:
@@ -172,12 +174,13 @@ class CheckResult:
     witness: dict | None
 
 
-def _deviation(prod: np.ndarray, expected: np.ndarray,
-               tol: float) -> tuple[float, np.ndarray | None]:
+def _deviation(prod: np.ndarray, expected: np.ndarray, tol: float,
+               dev: np.ndarray | None = None) -> tuple[float, np.ndarray | None]:
     """Worst entrywise |prod - expected| over a stack of matrices and, when it
-    exceeds ``tol``, the mask of matrices beyond it; overwrites ``prod``."""
+    exceeds ``tol``, the mask of matrices beyond it; overwrites ``prod``, and
+    ``dev`` with the entrywise deviations when it is given."""
     np.subtract(prod, expected, out=prod)
-    dev = np.abs(prod)
+    dev = np.abs(prod, out=dev)
     worst = float(dev.max()) if dev.size else 0.0
     return worst, ((dev > tol).any(axis=(-2, -1)) if worst > tol else None)
 
@@ -200,21 +203,31 @@ def _closure_on_range(fam: _Family, tuple_len: int, start: int, stop: int,
     """Exhaustive chunk in flat row-major order; start and stop are multiples
     of the label count, so the chunk is whole runs that each share their
     leading tuple_len-1 factors.  The prefix products, stacked to (P*d, d),
-    are multiplied by each label's matrix as one tall product."""
+    are multiplied by one last label's matrix at a time as one tall product,
+    and that label's P products are judged against their label results at
+    once, in buffers reused from label to label.  Every label is judged, so
+    the worst deviation is the chunk's; the first bad tuple in row-major
+    order is the least bad prefix*order + last over all labels."""
     order, d = fam.order, fam.dense_stack.shape[-1]
     pref = phases._build_tuples(order, tuple_len - 1, start // order, stop // order)
     acc = fam.dense_stack[pref[:, 0]]
     for t in range(1, tuple_len - 1):
         acc = acc @ fam.dense_stack[pref[:, t]]
     tall = acc.reshape(-1, d)
-    prod = np.empty((order, tall.shape[0], d), dtype=tall.dtype)
-    for last in range(order):
-        np.matmul(tall, fam.dense_stack[last], out=prod[last])
     res = fam.index_mult(pref, every_last=True)
-    worst, bad = _deviation(prod.reshape(order, -1, d, d), fam.dense_stack[res.T], tol)
+    prod, dev = np.empty_like(acc), np.empty(acc.shape)
+    worsts = np.empty(order)
+    bad = None
+    for last in range(order):
+        np.matmul(tall, fam.dense_stack[last], out=prod.reshape(tall.shape))
+        expected = fam.dense_stack.take(res[:, last], axis=0)
+        worsts[last], mask = _deviation(prod, expected, tol, dev)
+        if mask is not None:
+            row = int(np.argmax(mask)) * order + last
+            bad = row if bad is None else min(bad, row)
+    worst = float(worsts.max())
     if bad is None:
         return worst, None, None
-    bad = int(np.argmax(bad.T))  # row-major: prefix-major, then last label
     return worst, bad, np.append(pref[bad // order], bad % order)
 
 

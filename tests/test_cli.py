@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysigma.cli import main
+from polysigma import phases
+from polysigma.cli import _result_fields, main
+from polysigma.oracle import family_context
+from polysigma.phases import Q12
 
 
 def run(args):
@@ -86,6 +90,30 @@ def test_cayley_arity_below_two_is_input_error(tmp_path, capsys, family, n):
     assert code == 2
     assert not out.exists()
     assert f"arity must be >= 2 for family '{family}', got {n}" in capsys.readouterr().err
+
+
+def _exported_labels(family, n, q):
+    """Every label a Cayley table of the family writes.  het (3, 360) has
+    2,073,600 labels, so there each slot code stands in both block places
+    instead: a token is its slots' texts joined, so this covers every text."""
+    if family == "het" and (n, q) == (3, 360):
+        return [phases.label_from_slots("het", 3, q, (c, c)) for c in range(4 * q)]
+    fam = family_context(family, n, q)
+    return [fam.label(i) for i in range(fam.order)]
+
+
+@pytest.mark.parametrize("family, n, qs", [
+    ("pauli", 2, Q12), ("elementary", 3, Q12), ("elementary", 2, (360,)),
+    ("full", 3, Q12), ("het", 2, Q12), ("het", 3, (4, 360)), ("het", 4, (4,)),
+], ids=["pauli", "elementary-n3", "elementary-n2-q360", "full-n3", "het-n2",
+        "het-n3", "het-n4-q4"])
+def test_cayley_cells_need_no_csv_quoting(family, n, qs):
+    # cmd_cayley writes a row as its cells joined by "," and "\r\n", which is
+    # what csv.writer writes only while no cell needs quoting
+    for q in qs:
+        for lab in _exported_labels(family, n, q):
+            for cell in [lab.token(), *_result_fields(lab)]:
+                assert re.fullmatch(r"[A-Za-z0-9.]*", cell), (family, n, q, cell)
 
 
 def test_cayley_determinism(tmp_path):
@@ -295,6 +323,19 @@ def test_param_mul_malformed_element_is_input_error(tmp_path, element):
 
 def test_param_mul_negative_seed_is_usage_error():
     assert exit_code(["param-mul", "--random", "2", "--seed", "-1"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--random", "-1"],
+    ["--random", "2", "--tol", "nan"],
+    ["--random", "2", "--tol", "0"],
+], ids=["count-negative", "tol-nan", "tol-zero"])
+def test_param_mul_bad_count_or_tolerance_is_usage_error(tmp_path, args):
+    # a negative count would write an empty result set and pass (exit 0),
+    # and a NaN tolerance would fail every deviation check (exit 1)
+    out = tmp_path / "r.json"
+    assert exit_code(["param-mul", *args, "--out", out]) == 2
+    assert not out.exists()
 
 
 def test_param_mul_mixed_arities_is_input_error(tmp_path):

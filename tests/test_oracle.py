@@ -391,6 +391,31 @@ def test_closure_sweep_negative_control_prefix_path(monkeypatch):
         }
 
 
+def test_closure_sweep_first_failure_is_row_major_across_labels(monkeypatch):
+    # inside the first chunk of het(3, 4), prefix 0 fails only with last label
+    # 200 and prefix 1 with last label 5: the chunk is judged one last label
+    # at a time, so label 5's failure is met first, yet tuple (0, 0, 200)
+    # comes first in row-major order and must be the witness
+    order = family_context("het", 3, 4).order
+
+    def two_wrong(rows, products):
+        products = products.copy()
+        prefix = rows[:, 0] * order + rows[:, 1]
+        products[prefix == 0, 200] += 1
+        products[prefix == 1, 5] += 1
+        return products
+
+    _doctor(monkeypatch, "het", 3, 4, results=two_wrong)
+    for workers in (1, 2):
+        res = closure_check("het", 3, 4, mode="exhaustive", workers=workers)
+        assert (res.passed, res.exhaustive, res.checked) == (False, True, 201)
+        assert res.witness == {
+            "kind": "closure",
+            "operands": ["h0.0r0.0", "h0.0r0.0", "h3.0r2.0"],
+            "max_abs_deviation": 2 ** 0.5,
+        }
+
+
 def test_closure_sample_negative_control(monkeypatch):
     # full(3, 4) products that should be label 5 reported as label 6: the
     # eighth seeded tuple is the first whose dense product disagrees, whether
