@@ -41,11 +41,15 @@ def _result_fields(lab) -> list[str]:
 
 
 def _cayley_chunks(fam):
-    """Yield (operand label indices, result label indices) as arrays in
-    canonical enumeration order, one chunk of rows at a time."""
-    for start, stop in phases._chunk_ranges(fam.order ** fam.mult_len, _CAYLEY_CHUNK):
-        idx = phases._build_tuples(fam.order, fam.mult_len, start, stop)
-        yield idx, fam.index_mult(idx)
+    """Yield the table in canonical enumeration order, in blocks of
+    max(1, _CAYLEY_CHUNK // order) prefixes: a block's (P, t-1) label
+    indices of the leading factors of its t-factor rows, and the (P, order)
+    result label indices of each prefix followed by every label, from one
+    every_last kernel call."""
+    prefixes = fam.order ** (fam.mult_len - 1)
+    for start, stop in phases._chunk_ranges(prefixes, max(1, _CAYLEY_CHUNK // fam.order)):
+        pref = phases._build_tuples(fam.order, fam.mult_len - 1, start, stop)
+        yield pref, fam.index_mult(pref, every_last=True)
 
 
 def cmd_cayley(args) -> int:
@@ -64,29 +68,36 @@ def cmd_cayley(args) -> int:
     fields = [_result_fields(lab) for lab in labels]
     if args.format == "csv":
         # no token or field needs CSV quoting, so a row is its cells joined
-        # by "," and ended by "\r\n", as csv.writer writes it
+        # by "," and ended by "\r\n", as csv.writer writes it.  A prefix's
+        # rows are one join of (its head, a last label's head, that row's
+        # result tail) triples; only the first and last of these change.
         heads = [tok + "," for tok in tokens]
         tails = [",".join(f) + "\r\n" for f in fields]
+        cells = [""] * (3 * order)
+        cells[1::3] = heads
         with open(args.out, "w", newline="") as fh:
             fh.write(",".join([f"op{i + 1}" for i in range(fam.mult_len)]
                               + ["result_j", "result_k", "result_r"]) + "\r\n")
-            for idx, res in _cayley_chunks(fam):
-                columns = [[heads[i] for i in col] for col in idx.T.tolist()]
-                columns.append([tails[r] for r in res.tolist()])
-                fh.write("".join(map("".join, zip(*columns))))
+            for pref, res in _cayley_chunks(fam):
+                for ops, row in zip(pref.tolist(), res.tolist()):
+                    cells[0::3] = ["".join(map(heads.__getitem__, ops))] * order
+                    cells[2::3] = map(tails.__getitem__, row)
+                    fh.write("".join(cells))
     else:  # dense-json
         entries = []
-        for idx, res in _cayley_chunks(fam):
-            for ops, r in zip(idx.tolist(), res.tolist()):
-                prod_mat = fam.dense_stack[ops[0]]
+        for pref, res in _cayley_chunks(fam):
+            for ops, row in zip(pref.tolist(), res.tolist()):
+                # the left-to-right product, its prefix shared by the run
+                head = fam.dense_stack[ops[0]]
                 for i in ops[1:]:
-                    prod_mat = prod_mat @ fam.dense_stack[i]
-                entries.append({
-                    "operands": [tokens[i] for i in ops],
-                    "result": fields[r],
-                    "dense": [[[z.real, z.imag] for z in row]
-                              for row in prod_mat.tolist()],
-                })
+                    head = head @ fam.dense_stack[i]
+                for last, r in enumerate(row):
+                    entries.append({
+                        "operands": [tokens[i] for i in ops] + [tokens[last]],
+                        "result": fields[r],
+                        "dense": [[[z.real, z.imag] for z in line]
+                                  for line in (head @ fam.dense_stack[last]).tolist()],
+                    })
         payload = {"family": args.family, "n": args.n, "q": args.q, "entries": entries}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)

@@ -78,7 +78,9 @@ class _Family:
     slots: np.ndarray                   # (m, order) slot codes, read-only
     dense_stack: np.ndarray             # (order, d, d), read-only
     #: (B, t) label rows -> (B,) products; with every_last=True,
-    #: (P, t) prefixes -> (P, order), each prefix followed by every label
+    #: (P, t) prefixes -> (P, order), each prefix followed by every label,
+    #: folding only the prefixes and finishing every label from the
+    #: kernel's cached last-factor tables (``phases._slot_kernel``)
     index_mult: Callable[..., np.ndarray]
 
     def label(self, i: int):
@@ -177,12 +179,13 @@ class CheckResult:
 def _deviation(prod: np.ndarray, expected: np.ndarray, tol: float,
                dev: np.ndarray | None = None) -> tuple[float, np.ndarray | None]:
     """Worst entrywise |prod - expected| over a stack of matrices and, when it
-    exceeds ``tol``, the mask of matrices beyond it; overwrites ``prod``, and
-    ``dev`` with the entrywise deviations when it is given."""
+    is not within ``tol``, the mask of matrices not within it; overwrites
+    ``prod``, and ``dev`` with the entrywise deviations when it is given.  A
+    NaN deviation is never within ``tol``, and makes the worst NaN."""
     np.subtract(prod, expected, out=prod)
     dev = np.abs(prod, out=dev)
     worst = float(dev.max()) if dev.size else 0.0
-    return worst, ((dev > tol).any(axis=(-2, -1)) if worst > tol else None)
+    return worst, (~(dev <= tol).all(axis=(-2, -1)) if not worst <= tol else None)
 
 
 def _closure_on_tuples(fam: _Family, idx: np.ndarray,
@@ -269,26 +272,40 @@ _SAMPLE_SLICE = 1 << 14
 _TALL_MNK = 1 << 15
 
 
-def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
-           seed: int | None, tol: float = DEFAULT_TOL,
-           workers: int | None = None) -> CheckResult:
-    """The gate of every closure and associativity check.  Over ``budget``
-    it refuses an exhaustive request rather than sample, and an auto request
-    samples.  It then checks every tuple in row-major chunks, or the seeded
-    sample in slices, and stops at the first failing tuple."""
-    w = worker_count(workers)
+def gate(kind: str, order: int, mult_len: int, *, mode: str, budget: int,
+         tol: float = DEFAULT_TOL) -> tuple[int, int, bool]:
+    """The gate of every closure and associativity check over a family of
+    ``order`` labels whose product takes ``mult_len`` factors: the tuple
+    length, the tuple count and whether the check is exhaustive.  Over
+    ``budget`` it refuses an exhaustive request rather than sample, and an
+    auto request samples.  It needs no family context and runs nothing, so
+    a caller can put all of its checks through their gates before any of
+    them lowers a label or sweeps."""
     if mode not in ("auto", "exhaustive", "sample"):
         raise DomainError(f"mode must be auto|exhaustive|sample, got {mode!r}")
     _check_tolerance(tol)
     closure = kind == "closure"
-    tuple_len = fam.mult_len if closure else 2 * fam.mult_len - 1
-    total = fam.order ** tuple_len
+    tuple_len = mult_len if closure else 2 * mult_len - 1
+    total = order ** tuple_len
     exhaustive = mode == "exhaustive" or (mode == "auto" and total <= budget)
     if exhaustive and total > budget:
         raise BudgetExceededError(
             f"{total} products exceed the budget of {budget}; switch to sampling"
             if closure else f"{total} bracketing tuples exceed the budget of {budget}"
         )
+    return tuple_len, total, exhaustive
+
+
+def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
+           seed: int | None, tol: float = DEFAULT_TOL,
+           workers: int | None = None) -> CheckResult:
+    """A closure or associativity check through its ``gate``: every tuple in
+    row-major chunks, or the seeded sample in slices, up to the first
+    failing tuple."""
+    w = worker_count(workers)
+    tuple_len, total, exhaustive = gate(kind, fam.order, fam.mult_len,
+                                        mode=mode, budget=budget, tol=tol)
+    closure = kind == "closure"
     if not exhaustive:
         sample = _sampled_tuples(fam.order, tuple_len, samples, seed)
         total, chunks = samples, phases._chunk_ranges(samples, _SAMPLE_SLICE)
@@ -310,7 +327,7 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     pool = ThreadPoolExecutor(max_workers=w) if w > 1 else None
     try:
         for (start, stop), (dev, bad, row) in (pool.map if pool else map)(work, chunks):
-            worst = max(worst, dev)
+            worst = float(np.maximum(worst, dev))  # a NaN stays NaN
             if bad is not None:
                 witness = {"kind": kind,
                            "operands": [fam.label(int(i)).token() for i in row]}

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, ClassVar, Iterable, Sequence
 
@@ -246,22 +247,25 @@ def _slot_fold(q: int, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
     return cyclic_fold(factors, lambda acc, code: table[acc * width + code])
 
 
-def _slot_index(name: str, q: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The encoder of m slot-code arrays to label indices in the canonical
-    order of ``family_slots``: code c in slot s contributes a part, and the
-    slots' parts join into the index."""
+def _slot_parts(name: str, q: int, m: int) -> tuple[np.ndarray, Callable]:
+    """How m slot-code arrays encode to label indices in the canonical order
+    of ``family_slots``: code c in slot s contributes the part parts[s, c],
+    and the join folds the slots' parts into the index."""
     j, r = np.divmod(np.arange(4 * q + 1), q)
     if name == "elementary":
         # one live slot at most; the zero label has the largest index, so the
         # minimum over the slots picks the live one
         parts = np.array([(j * m + s) * q + r for s in range(m)])
         parts[:, -1] = 4 * q * m
-        join = np.minimum
-    else:
-        # a group family never reaches the zero code
-        parts = np.array([j * 4 ** (m - 1 - s) * q ** m + r * q ** (m - 1 - s)
-                          for s in range(m)])
-        join = np.add
+        return parts, np.minimum
+    # a group family never reaches the zero code
+    return np.array([j * 4 ** (m - 1 - s) * q ** m + r * q ** (m - 1 - s)
+                     for s in range(m)]), np.add
+
+
+def _slot_index(name: str, q: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The encoder of m slot-code arrays to label indices (``_slot_parts``)."""
+    parts, join = _slot_parts(name, q, m)
 
     def encode(codes: np.ndarray) -> np.ndarray:
         return functools.reduce(join, (parts[s][codes[s]] for s in range(m)))
@@ -269,18 +273,52 @@ def _slot_index(name: str, q: int, m: int) -> Callable[[np.ndarray], np.ndarray]
     return encode
 
 
+def _last_factor_tables(q: int, slots: np.ndarray, parts: np.ndarray,
+                        shift: int) -> list[np.ndarray]:
+    """Per result slot s, the read-only (4q+1, k) table whose row c holds
+    the part, in slot s, of the product of prefix code c with slot
+    (s + shift) mod m of each of the k labels with (m, k) slot codes
+    ``slots``: the last factor of a product whose prefix has ``shift``
+    factors, mod m, finished for every label at once.  The tables are int32
+    when the join of the largest parts fits it, which halves their memory
+    and the bytes their row gathers move."""
+    cayley, m = _cayley_table(q), len(slots)
+    narrow = parts.max(axis=1).sum() <= np.iinfo(np.int32).max
+    parts = parts.astype(np.int32 if narrow else np.int64)
+    # take keeps the tables C-ordered, so a gathered row is contiguous
+    tables = [parts[s][cayley.take(slots[(s + shift) % m], axis=1)] for s in range(m)]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarray]:
     """index_mult over the labels with (m, k) slot codes ``slots``: (B, t)
-    rows of label indices -> (B,) label indices of the products; with
-    every_last=True, (P, t) prefixes -> (P, k), each prefix followed by
-    every label."""
-    encode = _slot_index(name, q, len(slots))
+    rows of label indices -> (B,) label indices of the products.
+
+    With every_last=True, (P, t) prefixes -> (P, k), each prefix followed by
+    every label: only the prefixes are folded, to one (P,) code per result
+    slot, and each slot's codes pick rows of that slot's last-factor table
+    (``_last_factor_tables``), which the join adds up or takes the minimum
+    of.  The tables, m * (4q+1) * k entries per prefix length mod m, are
+    built on the first every_last call with that shift and kept with the
+    kernel; row-wise calls never build them."""
+    m = len(slots)
+    parts, join = _slot_parts(name, q, m)
+    tables: dict[int, list[np.ndarray]] = {}
+    lock = threading.Lock()
+
+    def last_tables(shift: int) -> list[np.ndarray]:
+        with lock:  # sweep workers share the kernel; build each shift once
+            if shift not in tables:
+                tables[shift] = _last_factor_tables(q, slots, parts, shift)
+            return tables[shift]
 
     def index_mult(idx: np.ndarray, every_last: bool = False) -> np.ndarray:
         factors = [np.take(slots, idx[:, t], axis=1) for t in range(idx.shape[1])]
-        if every_last:
-            factors = [f[:, :, None] for f in factors] + [slots[:, None, :]]
-        return encode(_slot_fold(q, factors))
+        codes = _slot_fold(q, factors)
+        rows = last_tables(idx.shape[1] % m) if every_last else parts
+        return functools.reduce(join, (rows[s][codes[s]] for s in range(m)))
 
     return index_mult
 
@@ -689,15 +727,17 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
         n = 2
     elif n < 3:
         raise DomainError(f"arity must be >= 3, got {n}")
-    closure = oracle.closure_check(
-        family, n, q, mode=mode, budget=closure_budget,
-        samples=closure_samples, seed=seed, tol=tol,
-    )
-    assoc = oracle.assoc_check(
-        family, n, q, mode="sample" if spec.assoc_sampled else mode,
-        budget=0 if spec.assoc_sampled else assoc_budget,
-        samples=assoc_samples, seed=seed,
-    )
+    closure_gate = dict(mode=mode, budget=closure_budget)
+    assoc_gate = dict(mode="sample" if spec.assoc_sampled else mode,
+                      budget=0 if spec.assoc_sampled else assoc_budget)
+    # refuse an over-budget request, closure first, before either sweep runs
+    mult_len, order = family_size(family, n, q)
+    oracle.gate("closure", order, mult_len, tol=tol, **closure_gate)
+    oracle.gate("associativity", order, mult_len, **assoc_gate)
+    closure = oracle.closure_check(family, n, q, samples=closure_samples,
+                                   seed=seed, tol=tol, **closure_gate)
+    assoc = oracle.assoc_check(family, n, q, samples=assoc_samples, seed=seed,
+                               **assoc_gate)
 
     fam = oracle.family_context(family, n, q)
     encode = _slot_index(family, q, len(fam.slots))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysigma import phases
+from polysigma import cli, oracle, phases
 from polysigma.cli import _result_fields, main
 from polysigma.oracle import family_context
 from polysigma.phases import Q12
@@ -170,6 +170,35 @@ def test_verify_exhaustive_over_budget_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("budget, message", [
+    ("30000000", "error: 1981355655168 bracketing tuples exceed the budget of 2000000"),
+    ("1000", "error: 23887872 products exceed the budget of 1000; switch to sampling"),
+], ids=["associativity", "closure-first"])
+def test_verify_refuses_either_budget_before_any_sweep(monkeypatch, capsys, tmp_path,
+                                                       budget, message):
+    # full (3, 72): 288^3 closure products fit the default budget, 288^5
+    # bracketing tuples do not fit the associativity budget of 2e6; under a
+    # budget of 1000 neither fits, and the closure is refused first
+    def no_sweep(*args):
+        raise AssertionError("the closure sweep ran before the refusal")
+
+    monkeypatch.setattr(oracle, "_closure_on_range", no_sweep)
+    code = run(["verify", "--family", "full", "--n", "3", "--q", "72",
+                "--mode", "exhaustive", "--budget", budget, "--out", tmp_path / "r.json"])
+    assert code == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_sampled_verify_builds_no_last_factor_table(monkeypatch, tmp_path):
+    # het (4, 8) samples its closure, so no kernel call finishes every label
+    builds = []
+    monkeypatch.setattr(phases, "_last_factor_tables", lambda *args: builds.append(args))
+    assert run(["verify", "--family", "het", "--n", "4", "--q", "8",
+                "--out", tmp_path / "r.json"]) == 0
+    assert builds == []
+
+
 @pytest.mark.parametrize("args", [
     ["--family", "pauli", "--q", "4", "--tol", "nan"],
     ["--family", "pauli", "--q", "4", "--tol", "-1"],
@@ -220,22 +249,41 @@ def test_verify_outputs_are_pinned(tmp_path, args, report_sha, junit_sha):
     assert (_sha256(out), _sha256(junit)) == (report_sha, junit_sha)
 
 
-@pytest.mark.parametrize("args, sha", [
-    (["--family", "pauli", "--q", "4"],
-     "dd6c5a2917eba84ef2e057c7356474fa9c865846c6eac11c20bfb947ecd862d2"),
-    (["--family", "full", "--n", "3", "--q", "4"],
-     "6f0b7e9dabade178563b1cb3efdb7423b75a7ea0f50c744e8760002b98696233"),
-    (["--family", "elementary", "--n", "3", "--q", "4"],
-     "b9eb41c79fd0a9f35e98113ddadd7e3ca0e9816c076be11161bacf6e64da4ab2"),
-    (["--family", "elementary", "--n", "2", "--q", "4"],
-     "db8b34df040b81ad3c766fded40a5a59375167e90f04d35d078af33bd0e82599"),
-    (["--family", "het", "--n", "2", "--q", "4"],
-     "d8ad3b0d2ac28e0a78ea47995ddcea2bac92d21a5bd3d1748498e195e323640b"),
-    (["--family", "pauli", "--q", "4", "--format", "dense-json"],
-     "758c624094ac55c413568c70f0890f8399e86a5eee2a5c6e6a9d2c1f6f846f98"),
-], ids=["pauli-q4", "full-n3-q4", "elementary-n3-q4", "elementary-n2-q4",
-        "het-n2-q4", "pauli-q4-dense-json"])
+_CAYLEY_PINS = {
+    "pauli-q4": (["--family", "pauli", "--q", "4"],
+                 "dd6c5a2917eba84ef2e057c7356474fa9c865846c6eac11c20bfb947ecd862d2"),
+    "full-n3-q4": (["--family", "full", "--n", "3", "--q", "4"],
+                   "6f0b7e9dabade178563b1cb3efdb7423b75a7ea0f50c744e8760002b98696233"),
+    "elementary-n3-q4": (["--family", "elementary", "--n", "3", "--q", "4"],
+                         "b9eb41c79fd0a9f35e98113ddadd7e3ca0e9816c076be11161bacf6e64da4ab2"),
+    "elementary-n2-q4": (["--family", "elementary", "--n", "2", "--q", "4"],
+                         "db8b34df040b81ad3c766fded40a5a59375167e90f04d35d078af33bd0e82599"),
+    "het-n2-q4": (["--family", "het", "--n", "2", "--q", "4"],
+                  "d8ad3b0d2ac28e0a78ea47995ddcea2bac92d21a5bd3d1748498e195e323640b"),
+    "pauli-q4-dense-json": (
+        ["--family", "pauli", "--q", "4", "--format", "dense-json"],
+        "758c624094ac55c413568c70f0890f8399e86a5eee2a5c6e6a9d2c1f6f846f98"),
+    "full-n3-q4-dense-json": (
+        ["--family", "full", "--n", "3", "--q", "4", "--format", "dense-json"],
+        "b147f5ddf591625efb8e6635e023ac84e99834d7daa06ec31a6e562b84295be2"),
+}
+
+
+@pytest.mark.parametrize("args, sha", _CAYLEY_PINS.values(), ids=_CAYLEY_PINS.keys())
 def test_cayley_outputs_are_pinned(tmp_path, args, sha):
+    out = tmp_path / "table"
+    assert run(["cayley", *args, "--out", out]) == 0
+    assert _sha256(out) == sha
+
+
+@pytest.mark.parametrize("chunk", [5, 48])
+@pytest.mark.parametrize("pin", ["full-n3-q4", "full-n3-q4-dense-json"])
+def test_cayley_prefix_blocks_keep_the_pinned_outputs(monkeypatch, tmp_path, chunk, pin):
+    # 5 rows is less than one run of the 16 labels, so each block is one
+    # prefix; 48 rows make blocks of 3 prefixes, which leave a last block of
+    # 1 of the 256 prefixes.  Neither divides the 4096 rows.
+    monkeypatch.setattr(cli, "_CAYLEY_CHUNK", chunk)
+    args, sha = _CAYLEY_PINS[pin]
     out = tmp_path / "table"
     assert run(["cayley", *args, "--out", out]) == 0
     assert _sha256(out) == sha

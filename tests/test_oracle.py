@@ -2,6 +2,8 @@
 
 import dataclasses
 import functools
+import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -372,6 +374,32 @@ def test_closure_sweep_negative_control(monkeypatch):
     assert r1.witness == r2.witness and r1.checked == r2.checked
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_closure_check_fails_a_non_finite_product(monkeypatch, value, mode):
+    # a NaN or inf entry in label 3's dense form (an inf meets a zero or
+    # another inf in a product, so the deviation is NaN) is never within the
+    # tolerance: the check must fail with a witness and report a worst
+    # deviation that is not within it either
+    stack = family_context("pauli", 2, 4).dense_stack.copy()
+    stack[3, 0, 0] = value
+    _doctor(monkeypatch, "pauli", 2, 4, dense_stack=stack)
+    with np.errstate(invalid="ignore"):
+        res = closure_check("pauli", 2, 4, mode=mode, samples=1000, tol=1e-12, workers=1)
+    assert not res.passed and res.witness is not None
+    assert not res.max_abs_deviation <= 1e-12
+    assert res.checked <= res.total
+    # the witness has label 3 as an operand or as its label result
+    fam = family_context("pauli", 2, 4)
+    tokens = [fam.label(i).token() for i in range(fam.order)]
+    row = [tokens.index(tok) for tok in res.witness["operands"]]
+    assert 3 in row or fam.index_mult(np.array([row]))[0] == 3
+    if mode == "exhaustive":
+        # tuple 3 = (s0r0, s0r3) is the first row-major tuple with label 3
+        assert res.checked == 4
+        assert res.witness["operands"] == ["s0r0", "s0r3"]
+
+
 def test_closure_sweep_negative_control_prefix_path(monkeypatch):
     # het(3, 4) runs the shared-prefix chunk path; label 100 first shows up as
     # the label result of tuple 352 = (0, 1, 96), so the sweep must stop
@@ -519,3 +547,77 @@ def test_index_mult_property(case):
             for p in rows[:3, :-1]]
     assert shared.shape == (3, idx.size)
     assert np.array_equal(shared, np.stack(flat))
+
+
+@pytest.mark.parametrize("family, n, q", [
+    ("pauli", 2, 4), ("full", 3, 4), ("elementary", 4, 4), ("het", 3, 4),
+])
+def test_every_last_tables_are_built_once_per_shift(monkeypatch, family, n, q):
+    # one kernel, called at two prefix lengths (two shifts when m > 1), twice
+    # each: every result must equal the row-wise products, and each shift's
+    # read-only tables must be built once
+    builds = []
+
+    def counted(*args):
+        builds.append(args[-1])
+        return real(*args)
+
+    real = phases._last_factor_tables
+    monkeypatch.setattr(phases, "_last_factor_tables", counted)
+    slots = phases.family_slots(family, n, q)
+    m, order = slots.shape
+    index_mult = phases._slot_kernel(family, q, slots)
+    rng = np.random.default_rng(5)
+    every = np.arange(order)
+    for t in (n - 1, n):
+        pref = rng.integers(0, order, size=(8, t))
+        if family == "elementary":
+            # the zero, and rows whose positions chain k, k+1, ... (cyclic)
+            pref[0] = order - 1
+            k0 = (rng.integers(0, m, size=(4, 1)) + np.arange(t)) % m
+            j = rng.integers(0, 4, size=(4, t))
+            pref[1:5] = (j * m + k0) * q + rng.integers(0, q, size=(4, t))
+        for _ in range(2):
+            got = index_mult(pref, every_last=True)
+            want = [index_mult(np.column_stack([np.tile(p, (order, 1)), every]))
+                    for p in pref]
+            assert np.array_equal(got, np.stack(want))
+    assert builds == list(dict.fromkeys([(n - 1) % m, n % m]))
+    if family == "elementary":
+        assert (got != order - 1).any() and (got == order - 1).any()
+    table = real(q, slots, phases._slot_parts(family, q, m)[0], 0)[0]
+    assert table.shape == (4 * q + 1, order) and not table.flags.writeable
+
+
+def test_every_last_tables_are_built_once_under_threads(monkeypatch):
+    # sweep workers share one kernel: four threads, more than the cores
+    # here, racing for the first every_last call must build the table once
+    builds = []
+    real = phases._last_factor_tables
+    monkeypatch.setattr(phases, "_last_factor_tables",
+                        lambda *args: builds.append(args[-1]) or real(*args))
+    slots = phases.family_slots("het", 3, 4)
+    index_mult = phases._slot_kernel("het", 4, slots)
+    pref = phases._build_tuples(slots.shape[1], 2, 0, 64)
+    want = np.stack([index_mult(np.column_stack([np.tile(p, (256, 1)), np.arange(256)]))
+                     for p in pref])
+    results = []
+    start = threading.Barrier(4)
+
+    def work():
+        start.wait(timeout=10)
+        results.append(index_mult(pref, every_last=True))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [0] and len(results) == 4
+    assert all(np.array_equal(r, want) for r in results)
