@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -179,8 +180,7 @@ def cmd_param_mul(args) -> int:
         rng = np.random.default_rng(args.seed)
         tuples = [_random_tuple(rng, n) for _ in range(args.random)]
     else:
-        with open(args.infile) as fh:
-            data = json.load(fh)
+        data = _read_json(args.infile)
         if not isinstance(data, dict):
             raise DomainError(f"input must be a JSON object, got {type(data).__name__}")
         if data.get("arity") != n:
@@ -217,6 +217,16 @@ def cmd_param_mul(args) -> int:
 # trace
 
 
+def _read_json(path: str):
+    """The JSON value in the file at ``path``.  One nested too deeply for the
+    parser's recursion is malformed input, not a crash."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DomainError("malformed input (JSON nested too deeply)") from None
+
+
 def _relaxed_element(data: dict) -> BlockCyclicMatrix:
     """Cyclic block matrix from {"arity", "blocks"} without the unit-norm
     check, so identity-coefficient elements are accepted."""
@@ -236,11 +246,13 @@ def _relaxed_element(data: dict) -> BlockCyclicMatrix:
 
 
 def cmd_trace(args) -> int:
-    with open(args.infile) as fh:
-        data = json.load(fh)
-    mat = _relaxed_element(data)
-    ordinary = complex(np.trace(mat.dense()))
-    poly = su2.polyadic_trace(mat)
+    mat = _relaxed_element(_read_json(args.infile))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ordinary = complex(np.trace(mat.dense()))
+        poly = su2.polyadic_trace(mat)
+    # JSON has no infinity or NaN, so a trace that overflows is refused
+    if not all(map(math.isfinite, (ordinary.real, ordinary.imag, poly.real, poly.imag))):
+        raise DomainError(f"the trace is not finite (ordinary {ordinary}, polyadic {poly})")
     payload = {
         "arity": mat.arity,
         "ordinary_trace": [ordinary.real, ordinary.imag],

@@ -13,6 +13,7 @@ coverage, so identical configurations give identical summaries.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -37,9 +38,10 @@ def worker_count(requested: int | None = None) -> int:
     if requested is None:
         cpus = os.cpu_count() or 1
         # one worker on 1-2 cores: on 2 vCPUs (OpenBLAS 0.3.31) an exhaustive
-        # het (3, 4) closure with 2 workers took 1.9 s wall against 2.7 s,
-        # but 3.4 s of CPU against 2.7 s (+25-36% over runs) and 40 MB peak
-        # RSS against 35 MB; the second core buys wall time with CPU time
+        # het (3, 4) closure took 0.26 s wall with one worker and 0.31-0.34 s
+        # with two, and a full (3, 72) one 1.2 s against 1.7 s; the prefix
+        # classes are claimed on the calling thread, and the judging left to
+        # the pool does not repay the handover
         requested = 1 if cpus <= 2 else min(4, cpus)
     cap = os.environ.get("POLYSIGMA_THREADS")
     if cap is not None:
@@ -80,7 +82,8 @@ class _Family:
     #: (B, t) label rows -> (B,) products; with every_last=True,
     #: (P, t) prefixes -> (P, order), each prefix followed by every label,
     #: folding only the prefixes and finishing every label from the
-    #: kernel's cached last-factor tables (``phases._slot_kernel``)
+    #: kernel's cached last-factor tables, or, for one-factor prefixes,
+    #: folding each with every label (``phases._slot_kernel``)
     index_mult: Callable[..., np.ndarray]
 
     def label(self, i: int):
@@ -188,36 +191,63 @@ def _deviation(prod: np.ndarray, expected: np.ndarray, tol: float,
     return worst, (~(dev <= tol).all(axis=(-2, -1)) if not worst <= tol else None)
 
 
-def _closure_on_tuples(fam: _Family, idx: np.ndarray,
-                       tol: float) -> tuple[float, int | None, np.ndarray | None]:
-    """Max deviation over tuple rows, the first bad row and its labels."""
+def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float) -> tuple[float, int | None]:
+    """Max deviation over tuple rows and the first bad row."""
     prod = fam.dense_stack[idx[:, 0]]
     for t in range(1, idx.shape[1]):
         prod = prod @ fam.dense_stack[idx[:, t]]
     worst, bad = _deviation(prod, fam.dense_stack[fam.index_mult(idx)], tol)
-    if bad is None:
-        return worst, None, None
-    bad = int(np.argmax(bad))
-    return worst, bad, idx[bad]
+    return worst, None if bad is None else int(np.argmax(bad))
 
 
-def _closure_on_range(fam: _Family, tuple_len: int, start: int, stop: int,
-                      tol: float) -> tuple[float, int | None, np.ndarray | None]:
-    """Exhaustive chunk in flat row-major order; start and stop are multiples
-    of the label count, so the chunk is whole runs that each share their
-    leading tuple_len-1 factors.  The prefix products, stacked to (P*d, d),
-    are multiplied by one last label's matrix at a time as one tall product,
-    and that label's P products are judged against their label results at
-    once, in buffers reused from label to label.  Every label is judged, so
-    the worst deviation is the chunk's; the first bad tuple in row-major
-    order is the least bad prefix*order + last over all labels."""
+def _closure_claims(fam: _Family, tuple_len: int, chunks):
+    """The exhaustive closure's chunks in flat row-major order, each with the
+    prefixes it judges; start and stop are multiples of the label count, so
+    a chunk is whole runs that each share their leading tuple_len-1 factors.
+    Every prefix's literal product is computed by a batched left fold, and
+    its label results with every last label by the kernel.  With three or
+    more factors a prefix is judged only when its (product bytes, label
+    results) pair is new to the sweep's class table, which is claimed here,
+    in chunk order; with two factors every prefix is judged.  Yields (chunk,
+    chunk-local indices, products, label results) of the prefixes to judge."""
+    order = fam.order
+    classes = set() if tuple_len > 2 else None
+    for start, stop in chunks:
+        pref = phases._build_tuples(order, tuple_len - 1, start // order, stop // order)
+        acc = fam.dense_stack[pref[:, 0]]
+        for t in range(1, tuple_len - 1):
+            acc = acc @ fam.dense_stack[pref[:, t]]
+        res = fam.index_mult(pref, every_last=True)
+        at = np.arange(len(pref))
+        if classes is not None:
+            keys = np.concatenate([acc.reshape(len(pref), -1).view(np.uint8),
+                                   res.view(np.uint8)], axis=1)
+            at = np.array([i for i, key in enumerate(map(bytes, keys))
+                           if not (key in classes or classes.add(key))], dtype=np.int64)
+            acc, res = acc[at], res[at]
+        yield (start, stop), at, acc, res
+
+
+def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
+                      res: np.ndarray, tol: float) -> tuple[float, int | None]:
+    """Judge the P prefixes at chunk-local indices ``at``, with products
+    ``acc`` and label results ``res`` (``_closure_claims``), against every
+    last label.  This is what "exhaustive" means for a closure: every
+    prefix's literal product is computed, and each distinct (product, label
+    results) pair is judged against every last label once; each tuple's
+    judged product is still its prefix's literal product times the last
+    label's dense matrix, as equal input bits give equal product bits, and
+    label arithmetic supplies only the expected matrices.  The products,
+    stacked to (P*d, d), are multiplied by one last label's matrix at a time
+    as one tall product, and that label's P products are judged against
+    their label results at once, in buffers reused from label to label.
+    Every label is judged, so the worst deviation is the prefixes'; the
+    first bad tuple in row-major order, as an offset into the chunk, is the
+    least bad at*order + last over all labels."""
+    if not len(at):
+        return 0.0, None
     order, d = fam.order, fam.dense_stack.shape[-1]
-    pref = phases._build_tuples(order, tuple_len - 1, start // order, stop // order)
-    acc = fam.dense_stack[pref[:, 0]]
-    for t in range(1, tuple_len - 1):
-        acc = acc @ fam.dense_stack[pref[:, t]]
     tall = acc.reshape(-1, d)
-    res = fam.index_mult(pref, every_last=True)
     prod, dev = np.empty_like(acc), np.empty(acc.shape)
     worsts = np.empty(order)
     bad = None
@@ -226,19 +256,15 @@ def _closure_on_range(fam: _Family, tuple_len: int, start: int, stop: int,
         expected = fam.dense_stack.take(res[:, last], axis=0)
         worsts[last], mask = _deviation(prod, expected, tol, dev)
         if mask is not None:
-            row = int(np.argmax(mask)) * order + last
+            row = int(at[np.argmax(mask)]) * order + last
             bad = row if bad is None else min(bad, row)
-    worst = float(worsts.max())
-    if bad is None:
-        return worst, None, None
-    return worst, bad, np.append(pref[bad // order], bad % order)
+    return float(worsts.max()), bad
 
 
-def _assoc_on_tuples(fam: _Family,
-                     idx: np.ndarray) -> tuple[float, int | None, np.ndarray | None]:
+def _assoc_on_tuples(fam: _Family, idx: np.ndarray) -> tuple[float, int | None]:
     """Compare all bracketings of a (2n-1)-factor product; exact in label
-    space, so the deviation is 0.0.  Returns the first disagreeing row and
-    its labels, or None."""
+    space, so the deviation is 0.0.  Returns the first disagreeing row, or
+    None."""
     n = fam.mult_len
     results = []
     for p in range(n):
@@ -250,10 +276,7 @@ def _assoc_on_tuples(fam: _Family,
     agree = np.ones(idx.shape[0], dtype=bool)
     for p in range(1, n):
         agree &= results[0] == results[p]
-    if agree.all():
-        return 0.0, None, None
-    bad = int(np.argmax(~agree))
-    return 0.0, bad, idx[bad]
+    return 0.0, None if agree.all() else int(np.argmax(~agree))
 
 
 def _check_tolerance(tol: float) -> None:
@@ -296,6 +319,19 @@ def gate(kind: str, order: int, mult_len: int, *, mode: str, budget: int,
     return tuple_len, total, exhaustive
 
 
+def _in_order(pool: ThreadPoolExecutor, fn: Callable, jobs, ahead: int):
+    """``fn`` over ``jobs`` on the pool, its results yielded in job order.
+    Jobs are drawn on the calling thread, at most ``ahead`` of the last
+    result yielded, so a claimed job holds its memory only briefly."""
+    pending = collections.deque()
+    for job in jobs:
+        pending.append(pool.submit(fn, job))
+        if len(pending) > ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
            seed: int | None, tol: float = DEFAULT_TOL,
            workers: int | None = None) -> CheckResult:
@@ -308,32 +344,36 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     closure = kind == "closure"
     if not exhaustive:
         sample = _sampled_tuples(fam.order, tuple_len, samples, seed)
-        total, chunks = samples, phases._chunk_ranges(samples, _SAMPLE_SLICE)
+        total, jobs = samples, phases._chunk_ranges(samples, _SAMPLE_SLICE)
     elif closure:
         runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.dense_stack.shape[-1] ** 3))
-        chunks = phases._chunk_ranges(total, runs * fam.order)
+        jobs = _closure_claims(fam, tuple_len, phases._chunk_ranges(total, runs * fam.order))
     else:
-        chunks = phases._chunk_ranges(total, _CHUNK)
+        jobs = phases._chunk_ranges(total, _CHUNK)
 
-    def work(chunk: tuple[int, int]):
+    def work(job):
         if exhaustive and closure:
-            return chunk, _closure_on_range(fam, tuple_len, *chunk, tol)
-        idx = (phases._build_tuples(fam.order, tuple_len, *chunk) if exhaustive
-               else sample[slice(*chunk)])
-        return chunk, (_closure_on_tuples(fam, idx, tol) if closure
-                       else _assoc_on_tuples(fam, idx))
+            return job[0], _closure_on_range(fam, *job[1:], tol)
+        idx = (phases._build_tuples(fam.order, tuple_len, *job) if exhaustive
+               else sample[slice(*job)])
+        return job, (_closure_on_tuples(fam, idx, tol) if closure
+                     else _assoc_on_tuples(fam, idx))
 
     checked, worst = 0, 0.0
     pool = ThreadPoolExecutor(max_workers=w) if w > 1 else None
     try:
-        for (start, stop), (dev, bad, row) in (pool.map if pool else map)(work, chunks):
+        for (start, stop), (dev, bad) in (_in_order(pool, work, jobs, 2 * w) if pool
+                                          else map(work, jobs)):
             worst = float(np.maximum(worst, dev))  # a NaN stays NaN
             if bad is not None:
+                first = start + bad
+                row = (phases._build_tuples(fam.order, tuple_len, first, first + 1)[0]
+                       if exhaustive else sample[first])
                 witness = {"kind": kind,
                            "operands": [fam.label(int(i)).token() for i in row]}
                 if closure:
                     witness["max_abs_deviation"] = worst
-                return CheckResult(False, exhaustive, start + bad + 1, total, worst, witness)
+                return CheckResult(False, exhaustive, first + 1, total, worst, witness)
             checked = stop
     finally:
         if pool:

@@ -302,7 +302,10 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
     (``_last_factor_tables``), which the join adds up or takes the minimum
     of.  The tables, m * (4q+1) * k entries per prefix length mod m, are
     built on the first every_last call with that shift and kept with the
-    kernel; row-wise calls never build them."""
+    kernel; row-wise calls never build them.  One-factor prefixes build no
+    table: a sweep meets each label once as a prefix, so a table row would
+    be read about once, and each prefix is folded with every label
+    outright."""
     m = len(slots)
     parts, join = _slot_parts(name, q, m)
     tables: dict[int, list[np.ndarray]] = {}
@@ -316,6 +319,8 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
 
     def index_mult(idx: np.ndarray, every_last: bool = False) -> np.ndarray:
         factors = [np.take(slots, idx[:, t], axis=1) for t in range(idx.shape[1])]
+        if every_last and len(factors) == 1:
+            factors, every_last = [factors[0][:, :, None], slots[:, None, :]], False
         codes = _slot_fold(q, factors)
         rows = last_tables(idx.shape[1] % m) if every_last else parts
         return functools.reduce(join, (rows[s][codes[s]] for s in range(m)))

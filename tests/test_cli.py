@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,32 @@ def test_trace_malformed_element_is_input_error(tmp_path, arity, block):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"arity": arity, "blocks": [block, block]}))
     assert run(["trace", "--in", bad]) == 2
+
+
+def test_trace_deeply_nested_json_is_input_error(tmp_path, capsys):
+    # deeper than the JSON parser's recursion allows
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["trace", "--in", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed input") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_trace_that_overflows_is_refused(tmp_path, capsys, arity):
+    # x0 = x1 = 1e308 overflows the polyadic trace, and at arity 2 the
+    # ordinary one; JSON cannot hold the infinity, so no file is written
+    infile = tmp_path / "big.json"
+    infile.write_text(json.dumps({
+        "arity": arity,
+        "blocks": [{"x0": 1e308, "x": [1e308, 0.0, 0.0]}] * (arity - 1),
+    }))
+    out = tmp_path / "t.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["trace", "--in", infile, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: the trace is not finite")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -499,6 +499,130 @@ def test_exhaustive_closure_worst_deviation_is_pinned():
     assert res.max_abs_deviation == 9.604815623288835e-16
 
 
+def _class_keys(acc, res):
+    """The class key of each prefix: its product's bytes and its label
+    results' bytes."""
+    return [a.tobytes() + r.tobytes() for a, r in zip(acc, res)]
+
+
+def _reference_prefixes(fam, stack, start, stop):
+    """Prefixes start..stop-1 in row-major order, their literal products by
+    the per-tuple left fold, and their label results with every last label."""
+    pref = phases._build_tuples(fam.order, fam.mult_len - 1, start, stop)
+    acc = stack[pref[:, 0]]
+    for t in range(1, fam.mult_len - 1):
+        acc = acc @ stack[pref[:, t]]
+    return pref, acc, fam.index_mult(pref, every_last=True)
+
+
+@pytest.mark.parametrize("family, n, q", [
+    ("pauli", 2, 12), ("elementary", 3, 8), ("full", 3, 8), ("full", 4, 4), ("het", 3, 4),
+])
+def test_exhaustive_closure_judges_each_class_bit_for_bit(monkeypatch, family, n, q):
+    # the sweep judges one prefix per (product bytes, label results) class.
+    # A reference sweep in the sweep's chunks builds every tuple's literal
+    # product by the left fold and the tall product; each must equal, bit
+    # for bit, its class representative's product times the last label, as
+    # the sweep computed it, and the worst deviations must be equal
+    fam = family_context(family, n, q)
+    stack, order, d = fam.dense_stack, fam.order, fam.dense_stack.shape[-1]
+    judged = []
+    real = oracle._closure_on_range
+    monkeypatch.setattr(oracle, "_closure_on_range", lambda f, at, acc, res, tol: (
+        judged.append((acc, res)) or real(f, at, acc, res, tol)))
+    swept = closure_check(family, n, q, mode="exhaustive", workers=1)
+    assert swept.passed and swept.checked == order ** fam.mult_len
+
+    classes, reps, worst = {}, [], 0.0
+    for acc, res in judged:
+        tall = acc.reshape(-1, d)
+        prods = np.stack([tall @ stack[last] for last in range(order)]).reshape(order, *acc.shape)
+        reps.append(prods)
+        worst = max(worst, float(np.abs(prods - stack[res.T]).max(initial=0.0)))
+        for key in _class_keys(acc, res):
+            assert key not in classes  # no class is judged twice
+            classes[key] = len(classes)
+    # (order, classes, d, d) products, as their bits
+    reps = np.concatenate(reps, axis=1).view(np.int64)
+
+    # every tuple's literal product is its class representative's, so the
+    # worst over the representatives is the worst over every tuple
+    prefixes = order ** (fam.mult_len - 1)
+    runs = max(1, min(oracle._CHUNK // order, oracle._TALL_MNK // d ** 3))
+    members = 0
+    for start in range(0, prefixes, runs):
+        _, acc, res = _reference_prefixes(fam, stack, start, min(start + runs, prefixes))
+        cls = np.array([classes[key] for key in _class_keys(acc, res)])
+        members += len(cls)
+        tall, prod = acc.reshape(-1, d), np.empty_like(acc)
+        for last in range(order):
+            np.matmul(tall, stack[last], out=prod.reshape(tall.shape))
+            assert np.array_equal(prod.view(np.int64), reps[last].take(cls, axis=0))
+    assert members == prefixes
+    if fam.mult_len == 2:
+        assert len(classes) == prefixes  # two factors: every prefix is judged
+    assert swept.max_abs_deviation == worst
+
+
+def test_failing_closure_class_across_chunks_matches_literal_reference(monkeypatch):
+    # the label results, with last label 17, of every het (3, 4) prefix
+    # (a, b) with a > 0 whose literal product is that of prefix (0, 10) are
+    # doctored.  Those prefixes form one class; (0, 10) has the same product
+    # bits but other label results, so it is not in it.  With four prefixes
+    # to a chunk, the class is first met past the second chunk and has
+    # members in later ones.  checked,
+    # the witness and the worst deviation must be those of a literal
+    # per-tuple sweep
+    fam = family_context("het", 3, 4)
+    stack, order = fam.dense_stack, fam.order
+    target = stack[0] @ stack[10]
+
+    def one_class_wrong(rows, products):
+        if products.ndim == 1:
+            return products
+        hit = (stack[rows[:, 0]] @ stack[rows[:, 1]] == target).all(axis=(1, 2))
+        hit &= rows[:, 0] > 0
+        products = products.copy()
+        products[hit, 17] = (products[hit, 17] + 1) % order
+        return products
+
+    _doctor(monkeypatch, "het", 3, 4, results=one_class_wrong)
+    monkeypatch.setattr(oracle, "_CHUNK", 4 * order)
+    monkeypatch.setattr(oracle, "_TALL_MNK", 1 << 10)
+    runs = 4
+    doctored = oracle.family_context("het", 3, 4)
+
+    # the literal sweep: each tuple's product and its doctored label result,
+    # in row-major order, up to the end of the chunk of the first failure
+    worst, first, start = 0.0, None, 0
+    while first is None:
+        pref, acc, res = _reference_prefixes(doctored, stack, start, start + runs)
+        for p, row in enumerate(pref):
+            prods = stack[row[0]] @ stack[row[1]] @ stack  # with every last label
+            dev = np.abs(prods - stack[res[p]]).max(axis=(1, 2))
+            worst = max(worst, float(dev.max()))
+            if first is None and (dev > 1e-12).any():
+                first = ((start + p) * order + int(np.argmax(dev > 1e-12)), [*row])
+        start += runs
+    checked, row = first[0] + 1, first[1] + [first[0] % order]
+    assert checked > 2 * runs * order  # past the second chunk
+
+    # the class of the failing prefix has members in chunks after its own
+    _, acc, res = _reference_prefixes(doctored, stack, 0, 3 * order)
+    keys = _class_keys(acc, res)
+    chunks = {i // runs for i, key in enumerate(keys) if key == keys[first[0] // order]}
+    assert len(chunks) > 1 and min(chunks) == first[0] // order // runs
+
+    for workers in (1, 2):
+        res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12, workers=workers)
+        assert (res.passed, res.checked, res.max_abs_deviation) == (False, checked, worst)
+        assert res.witness == {
+            "kind": "closure",
+            "operands": [fam.label(i).token() for i in row],
+            "max_abs_deviation": worst,
+        }
+
+
 # ---------------------------------------------------------------------------
 # property test: the slot-table kernel against lowered dense products
 
@@ -621,3 +745,15 @@ def test_every_last_tables_are_built_once_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert builds == [0] and len(results) == 4
     assert all(np.array_equal(r, want) for r in results)
+
+
+def test_two_factor_closures_build_no_last_factor_table(monkeypatch):
+    # a two-factor closure meets each label once as a one-factor prefix, so a
+    # table row would be read about once: the prefixes are folded with every
+    # label outright, and no table is built
+    builds = []
+    monkeypatch.setattr(phases, "_last_factor_tables", lambda *args: builds.append(args))
+    for family in ("pauli", "elementary", "full", "het"):
+        res = closure_check(family, 2, 12, mode="exhaustive")
+        assert res.passed and res.checked == family_context(family, 2, 12).order ** 2
+    assert builds == []
