@@ -185,10 +185,12 @@ def cmd_param_mul(args) -> int:
             raise DomainError(f"input must be a JSON object, got {type(data).__name__}")
         if data.get("arity") != n:
             raise DomainError(f"input arity {data.get('arity')} != --n {n}")
-        tuples = [
-            [su2.PolyadicSU2Element.from_dict(e) for e in tup]
-            for tup in data["tuples"]
-        ]
+        raw = data.get("tuples")
+        if not (isinstance(raw, list)
+                and all(isinstance(tup, list) and all(isinstance(e, dict) for e in tup)
+                        for tup in raw)):
+            raise DomainError("tuples must be a list of lists of element objects")
+        tuples = [[su2.PolyadicSU2Element.from_dict(e) for e in tup] for tup in raw]
         for tup in tuples:
             if len(tup) != n or any(e.arity != n for e in tup):
                 raise DomainError(f"each tuple must list {n} elements of arity {n}")

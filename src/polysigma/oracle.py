@@ -193,10 +193,11 @@ def _deviation(prod: np.ndarray, expected: np.ndarray, tol: float,
 
 def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float) -> tuple[float, int | None]:
     """Max deviation over tuple rows and the first bad row."""
-    prod = fam.dense_stack[idx[:, 0]]
+    stack = fam.dense_stack
+    prod = stack.take(idx[:, 0], axis=0)
     for t in range(1, idx.shape[1]):
-        prod = prod @ fam.dense_stack[idx[:, t]]
-    worst, bad = _deviation(prod, fam.dense_stack[fam.index_mult(idx)], tol)
+        prod = prod @ stack.take(idx[:, t], axis=0)
+    worst, bad = _deviation(prod, stack.take(fam.index_mult(idx), axis=0), tol)
     return worst, None if bad is None else int(np.argmax(bad))
 
 
@@ -287,8 +288,14 @@ def _check_tolerance(tol: float) -> None:
 
 #: tuples per exhaustive chunk; bounds the chunk's working memory.
 _CHUNK = 1 << 17
-#: rows per slice of a seeded sample; bounds a slice's working memory.
+#: rows per slice of a seeded sample.  An associativity slice holds only
+#: label indices and is this long, since its cost is per kernel call, not
+#: memory; a closure slice is also held to _SAMPLE_SLICE_BYTES.
 _SAMPLE_SLICE = 1 << 14
+#: bound on the bytes of one gathered dense stack of a sampled closure
+#: slice, which holds a few of them at once: at d = 6 a slice is 1,820 rows,
+#: and a het (4, 8) sample peaks about 25 MB lower than with 2^14 rows.
+_SAMPLE_SLICE_BYTES = 1 << 20
 #: bound on m*n*k of one tall product.  OpenBLAS 0.3 splits a complex GEMM
 #: of about 2^16 m*n*k over two threads; on two cores that doubled CPU time
 #: and saved no wall time.
@@ -344,7 +351,9 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     closure = kind == "closure"
     if not exhaustive:
         sample = _sampled_tuples(fam.order, tuple_len, samples, seed)
-        total, jobs = samples, phases._chunk_ranges(samples, _SAMPLE_SLICE)
+        rows = (min(_SAMPLE_SLICE, _SAMPLE_SLICE_BYTES // fam.dense_stack[0].nbytes)
+                if closure else _SAMPLE_SLICE)
+        total, jobs = samples, phases._chunk_ranges(samples, rows)
     elif closure:
         runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.dense_stack.shape[-1] ** 3))
         jobs = _closure_claims(fam, tuple_len, phases._chunk_ranges(total, runs * fam.order))
@@ -446,19 +455,21 @@ def sampled_sweep(family: str, n: int, q: int, tuple_len: int, *,
 # targeted dense checks used by the structure builders
 
 
+def _lowered_querelements(fam: _Family, formula: Callable) -> np.ndarray:
+    """Dense forms of the querelements of every label, from one application
+    of a batched slot-code formula of ``phases`` to the family's codes."""
+    return phases.lower_slots(formula(fam.slots, fam.n, fam.q).T, fam.n, fam.q)
+
+
 def querelement_dense_check(family: str, n: int, q: int) -> float:
     """Max deviation of the querelement defining relation, lowered to dense
     matrices, over every element and insertion position."""
-    if family == "full":
-        quer = phases.full_querelement
-    elif family == "het":
-        quer = phases.het_querelement if n == 3 else phases.het_querelement_general
-    else:
+    if family not in ("full", "het"):
         raise DomainError(f"querelement check supports full|het, got {family!r}")
     fam = family_context(family, n, q)
     elems = fam.dense_stack
-    quers = phases.lower_slots(
-        [quer(fam.label(i)).slots() for i in range(fam.order)], fam.n, q)
+    # the structure's first formula: the ternary closed form for het at n = 3
+    quers = _lowered_querelements(fam, phases._STRUCTURES[family].inverses(fam.n)[0])
     worst = 0.0
     for pos in range(fam.mult_len):
         prod = functools.reduce(
@@ -471,8 +482,7 @@ def het_querelement_inverse_check(q: int) -> float:
     """Max deviation between the ternary heterogeneous querelement and the
     dense matrix inverse, over the full enumerated label set."""
     fam = family_context("het", 3, q)
-    quers = phases.lower_slots(
-        [phases.het_querelement(fam.label(i)).slots() for i in range(fam.order)], 3, q)
+    quers = _lowered_querelements(fam, phases._het_querelement)
     return float(np.abs(quers - np.linalg.inv(fam.dense_stack)).max())
 
 

@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, Iterable, Sequence
 import numpy as np
 
 from .errors import ArityError, DomainError, ValidationError
-from .matrices import DEFAULT_TOL, check_factor_count, cyclic_dense, cyclic_fold, sigma
+from .matrices import DEFAULT_TOL, check_factor_count, cyclic_fold, cyclic_layout, sigma
 from .sigma_algebra import levi_civita, mul_sigma_indices
 
 #: the twelve admissible phase moduli.
@@ -84,9 +84,16 @@ def _block_table(q: int) -> np.ndarray:
 
 def lower_slots(codes, n: int, q: int) -> np.ndarray:
     """Dense forms of the labels with slot codes ``codes`` (..., n-1): slot s
-    is the label's block s.  A single slot (..., 1) fills every block."""
-    blocks = _block_table(q)[np.asarray(codes)]
-    return cyclic_dense(np.broadcast_to(blocks, blocks.shape[:-3] + (n - 1, 2, 2)))
+    is the label's block s.  A single slot (..., 1) fills every block.  Each
+    slot's blocks are gathered from the block table into their place in the
+    result, one slot at a time, so no stack of blocks is held besides it."""
+    codes = np.asarray(codes)
+    codes = np.broadcast_to(codes, codes.shape[:-1] + (n - 1,))
+    table = _block_table(q)
+    dense, places = cyclic_layout(codes.shape[:-1], n - 1)
+    for s, place in enumerate(places):
+        place[...] = table[codes[..., s]]
+    return dense
 
 
 class _Label:

@@ -8,6 +8,8 @@ kernel, so each side checks the other.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,20 @@ def phased_sigma_word_dense(js, rs, q: int) -> np.ndarray:
 def assert_close(a, b, tol=TOL):
     dev = float(np.abs(np.asarray(a) - np.asarray(b)).max())
     assert dev <= tol, f"max deviation {dev} > {tol}"
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes allocated while it ran above those held
+    when it started.  numpy reports its array buffers to tracemalloc, so the
+    peak counts every array ``fn`` makes, temporaries included."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()

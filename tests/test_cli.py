@@ -387,6 +387,18 @@ def test_param_mul_bad_count_or_tolerance_is_usage_error(tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tuples", [{"a": 1}, [[1, 2, 3]], 5, None],
+                         ids=["object", "numbers", "number", "missing"])
+def test_param_mul_malformed_tuples_is_input_error(tmp_path, capsys, tuples):
+    # each used to reach main's catch-all as a Python error message
+    payload = {"arity": 3} if tuples is None else {"arity": 3, "tuples": tuples}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert run(["param-mul", "--n", "3", "--in", bad]) == 2
+    assert capsys.readouterr().err == (
+        "error: tuples must be a list of lists of element objects\n")
+
+
 def test_param_mul_mixed_arities_is_input_error(tmp_path):
     unit = {"x0": 1.0, "x": [0.0, 0.0, 0.0]}
     ternary = {"arity": 3, "blocks": [unit, unit]}
@@ -509,9 +521,31 @@ def test_rules_dump(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# benchmark hooks
+# python -m polysigma
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_module(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "polysigma", *map(str, args)],
+                           capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # a checkout runs the CLI without installing, as it runs the tests
+    proc = _run_module("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: polysigma")
+    via_module, via_main = tmp_path / "m.json", tmp_path / "c.json"
+    proc = _run_module("verify", "--family", "pauli", "--q", "4", "--out", via_module)
+    assert proc.returncode == 0, proc.stderr
+    assert run(["verify", "--family", "pauli", "--q", "4", "--out", via_main]) == 0
+    assert via_module.read_bytes() == via_main.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# benchmark hooks
 
 
 def test_benchmark_tracer_installs_and_verify_runs(tmp_path):

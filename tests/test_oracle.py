@@ -47,7 +47,7 @@ from polysigma.phases import (
 )
 from polysigma.su2 import PolyadicSU2Element, SU2Params
 
-from conftest import assert_close
+from conftest import assert_close, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,32 @@ def test_sampled_check_slices_match_one_chunk(monkeypatch, check):
         assert whole.max_abs_deviation > 0
 
 
+def test_sampled_closure_slices_hold_little_besides_the_context():
+    # closure slices are bounded by the bytes of a gathered dense stack, so
+    # the 100,000 seeded het (4, 8) tuples (3.2 MB) and a few 1 MB stacks
+    # are all the check holds beside the held 18.9 MB dense stack; 2^14-row
+    # slices held about 32 MB
+    family_context("het", 4, 8)
+    res, peak = traced_peak(lambda: closure_check(
+        "het", 4, 8, mode="sample", samples=100_000, seed=42, workers=1))
+    assert res.passed and res.checked == 100_000
+    assert peak <= 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("family, n, q, public", [
+    ("het", 3, 4, "het_querelement"), ("het", 3, 4, "het_querelement_general"),
+    ("het", 4, 4, "het_querelement_general"), ("full", 4, 8, "full_querelement"),
+])
+def test_lowered_querelements_match_the_public_formulas(family, n, q, public):
+    # one batched formula over every label's codes lowers to the same bits as
+    # the public querelement of each label object
+    fam = family_context(family, n, q)
+    quer = getattr(phases, public)
+    want = np.stack([quer(fam.label(i)).dense() for i in range(fam.order)])
+    got = oracle._lowered_querelements(fam, getattr(phases, f"_{public}"))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_closure_check_sample_covers_labels():
     res = closure_check("full", 3, 4, mode="sample", samples=50, seed=1)
     assert res.passed and not res.exhaustive and res.checked == 50
@@ -275,8 +301,8 @@ def test_querelement_dense_checks(monkeypatch):
     assert querelement_dense_check("full", 3, 4) <= 1e-12
     assert het_querelement_inverse_check(4) <= 1e-12
     # the identity map is no querelement, and both checks must see that
-    monkeypatch.setattr(phases, "full_querelement", lambda a: a)
-    monkeypatch.setattr(phases, "het_querelement", lambda a: a)
+    monkeypatch.setattr(phases, "_full_querelement", lambda codes, n, q: codes)
+    monkeypatch.setattr(phases, "_het_querelement", lambda codes, n, q: codes)
     assert querelement_dense_check("full", 3, 4) > 1
     assert het_querelement_inverse_check(4) > 1
 
@@ -285,9 +311,9 @@ def test_querelement_dense_checks(monkeypatch):
                                        (4, "het_querelement_general")])
 def test_het_querelement_dense_check(monkeypatch, n, public):
     assert querelement_dense_check("het", n, 4) <= 1e-12
-    # the check lowers the public formula's results; the identity map is no
-    # querelement, and the check must see that
-    monkeypatch.setattr(phases, public, lambda a: a)
+    # the check lowers the results of the public formula's batched slot-code
+    # form; the identity map is no querelement, and the check must see that
+    monkeypatch.setattr(phases, f"_{public}", lambda codes, n, q: codes)
     assert querelement_dense_check("het", n, 4) > 1
 
 

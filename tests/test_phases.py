@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 from itertools import product
 from types import SimpleNamespace
 
@@ -47,7 +48,7 @@ from polysigma.phases import (
 )
 from polysigma.sigma_algebra import levi_civita
 
-from conftest import assert_close, phase, phased_sigma_word_dense
+from conftest import assert_close, phase, phased_sigma_word_dense, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +629,26 @@ def test_structure_checks_match_scalar_products(family, n, q):
         got = phases._inverse_holds(fam, elems, encode(codes), target)
         assert got.tolist() == want.tolist()
         assert want.all() == (formula is not wrong)
+
+
+@pytest.mark.parametrize("family, n, q, sha", [
+    ("het", 4, 8, "007e2dc1bb5d214fe1512dce2220c00bfda0f960f864f099fcd4374d4db20cc5"),
+    ("full", 5, 72, "39f22657e774f638e5631f9943990a15734e734873c18c24bc7cebc6d4d4b355"),
+])
+def test_lower_slots_output_is_pinned(family, n, q, sha):
+    dense = phases.lower_slots(phases.family_slots(family, n, q).T, n, q)
+    assert hashlib.sha256(dense.tobytes()).hexdigest() == sha
+
+
+def test_lower_slots_holds_little_besides_its_result():
+    # each slot's blocks go straight into their place in the result: no
+    # gathered block stack and no reordering copy of the whole stack, so the
+    # het (4, 8) lowering peaks near its 18.9 MB result (one slot's gather
+    # is 2.1 MB), where a gather-then-place lowering peaks above twice it
+    codes = phases.family_slots("het", 4, 8).T
+    dense, peak = traced_peak(lambda: phases.lower_slots(codes, 4, 8))
+    assert dense.shape == (32768, 6, 6)
+    assert peak <= 1.25 * dense.nbytes
 
 
 def test_family_slots_follow_the_canonical_order():
