@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "dense-json"), default="csv")
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--budget", type=_nonnegative("a budget"), default=1_000_000,
                    help="maximum table rows (default 1e6)")
     p.set_defaults(func=cmd_cayley)
 
@@ -326,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("auto", "exhaustive", "sample"), default="auto")
     p.add_argument("--seed", type=_nonnegative("a seed"), default=_DEF_SEED)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
-                   help="product budget for exhaustive sweeps")
+    p.add_argument("--budget", type=_nonnegative("a budget"), default=oracle.DEFAULT_BUDGET,
+                   help="product budget for exhaustive sweeps, and entry budget "
+                        "for the lowered labels")
     p.add_argument("--out", help="write the structure report JSON here")
     p.add_argument("--junit", help="also write a JUnit XML summary here")
     p.set_defaults(func=cmd_verify)

@@ -83,7 +83,8 @@ class _Family:
     #: (P, t) prefixes -> (P, order), each prefix followed by every label,
     #: folding only the prefixes and finishing every label from the
     #: kernel's cached last-factor tables, or, for one-factor prefixes,
-    #: folding each with every label (``phases._slot_kernel``)
+    #: folding each with every label, into ``out`` when it is given
+    #: (``phases._slot_kernel``)
     index_mult: Callable[..., np.ndarray]
 
     def label(self, i: int):
@@ -201,32 +202,123 @@ def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float) -> tuple[float
     return worst, None if bad is None else int(np.argmax(bad))
 
 
+@functools.cache
+def _fingerprint_weights(width: int) -> np.ndarray:
+    """``width`` odd 64-bit weights, splitmix64 outputs of 1..width: a
+    weight for each word of a product, none a linear function of its
+    position, so that products whose words are permutations of one another
+    do not share a weighted sum."""
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31)) | np.uint64(1)
+
+
+def _fingerprint(words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(P,) 64-bit fingerprints of the rows of ``words``, a (P, W) uint64
+    array, through ``scratch``, one more: each word's sign and exponent bits
+    are folded into its low half, and the folded words are summed with
+    their weights modulo 2^64.  Unfolded, words that differ only in those
+    bits, as the entries 0, +-1 and +-i do, would change only the top bits
+    of the sum."""
+    np.right_shift(words, np.uint64(31), out=scratch)
+    np.bitwise_xor(scratch, words, out=scratch)
+    return scratch @ _fingerprint_weights(words.shape[1])
+
+
+class _ClassTable:
+    """The exhaustive closure's sweep-wide table of prefix classes, each a
+    distinct pair of (product words, label results).  The first class met
+    with a fingerprint keeps its pair in two arrays that grow in place, one
+    row per class; a prefix with that fingerprint is its member when both
+    compare equal, in one vectorised compare per chunk.  A prefix that
+    fails the compare is looked up by its pair's bytes among the classes
+    that are not first with their fingerprint, which are kept only as such
+    keys."""
+
+    def __init__(self):
+        self.first: dict[int, int] = {}   # fingerprint -> its first class
+        self.others: set[bytes] = set()
+        self.words = self.rows = self.scratch = None
+
+    def claim(self, words: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Chunk-local indices, in order, of the prefixes whose (``words``,
+        ``rows``) pair is new to the sweep, each the first of its class; the
+        table then holds their classes."""
+        p, known, first = len(words), len(self.first), self.first
+        if self.scratch is None:  # every chunk but the last is as long as the first
+            self.words = np.empty((0, words.shape[1]), np.uint64)
+            self.rows = np.empty((0, rows.shape[1]), rows.dtype)
+            self.scratch = (np.empty(words.shape, np.uint64), np.empty(words.shape, bool),
+                            np.empty(rows.shape, rows.dtype), np.empty(rows.shape, bool))
+        wbuf, wsame, rbuf, rsame = (b[:p] for b in self.scratch)
+        ids = np.array([first.setdefault(f, len(first))
+                        for f in _fingerprint(words, wbuf).tolist()])
+        judge = np.zeros(p, dtype=bool)
+        if len(first) > known:
+            fresh = np.flatnonzero(ids >= known)
+            # new classes are numbered in the order their fingerprints are
+            # first met, so the first prefix of each raises the running max
+            top = np.maximum.accumulate(ids[fresh])
+            fresh = fresh[np.diff(top, prepend=known - 1) > 0]
+            if len(first) > len(self.words):
+                # in place, by realloc, with 1/16 to spare; refcheck would
+                # refuse under a profiler, and no view of either array
+                # outlives a statement of this method
+                grown = len(first) + len(first) // 16
+                self.words.resize((grown, words.shape[1]), refcheck=False)
+                self.rows.resize((grown, rows.shape[1]), refcheck=False)
+            self.words[known:len(first)] = words[fresh]
+            self.rows[known:len(first)] = rows[fresh]
+            judge[fresh] = True
+        np.take(self.words, ids, axis=0, out=wbuf, mode="clip")
+        np.take(self.rows, ids, axis=0, out=rbuf, mode="clip")
+        same = np.equal(wbuf, words, out=wsame).all(axis=1)
+        same &= np.equal(rbuf, rows, out=rsame).all(axis=1)
+        for i in np.flatnonzero(~same).tolist():
+            key = words[i].tobytes() + rows[i].tobytes()
+            if key not in self.others:
+                self.others.add(key)
+                judge[i] = True
+        return np.flatnonzero(judge)
+
+
 def _closure_claims(fam: _Family, tuple_len: int, chunks):
     """The exhaustive closure's chunks in flat row-major order, each with the
     prefixes it judges; start and stop are multiples of the label count, so
     a chunk is whole runs that each share their leading tuple_len-1 factors.
     Every prefix's literal product is computed by a batched left fold, and
-    its label results with every last label by the kernel.  With three or
-    more factors a prefix is judged only when its (product bytes, label
-    results) pair is new to the sweep's class table, which is claimed here,
-    in chunk order; with two factors every prefix is judged.  Yields (chunk,
-    chunk-local indices, products, label results) of the prefixes to judge."""
-    order = fam.order
-    classes = set() if tuple_len > 2 else None
+    its label results with every last label by the kernel, in buffers
+    reused from chunk to chunk.  With three or more factors a prefix is
+    judged only when its (product bits, label results) pair is new to the
+    sweep: the pairs are claimed here, in chunk order, in a ``_ClassTable``
+    that finds most prefixes' classes by a 64-bit fingerprint of the product
+    and confirms each by a full compare of the pair.  With two factors every
+    prefix is judged.  Yields (chunk, chunk-local indices, products, label
+    results) of the prefixes to judge, copied out of the buffers."""
+    order, stack = fam.order, fam.dense_stack
+    table = _ClassTable() if tuple_len > 2 else None
+    prods = out = None
     for start, stop in chunks:
         pref = phases._build_tuples(order, tuple_len - 1, start // order, stop // order)
-        acc = fam.dense_stack[pref[:, 0]]
+        p = len(pref)
+        if prods is None:  # every chunk but the last is as long as the first
+            prods = np.empty((3, p, *stack.shape[1:]), stack.dtype)
+            # the kernel's result dtype, from one prefix
+            out = np.empty((2, p, order), fam.index_mult(pref[:1], every_last=True).dtype)
+        # the gathers never clip: pref holds label indices
+        acc, spare, factor = prods[:, :p]
+        np.take(stack, pref[:, 0], axis=0, out=acc, mode="clip")
         for t in range(1, tuple_len - 1):
-            acc = acc @ fam.dense_stack[pref[:, t]]
-        res = fam.index_mult(pref, every_last=True)
-        at = np.arange(len(pref))
-        if classes is not None:
-            keys = np.concatenate([acc.reshape(len(pref), -1).view(np.uint8),
-                                   res.view(np.uint8)], axis=1)
-            at = np.array([i for i, key in enumerate(map(bytes, keys))
-                           if not (key in classes or classes.add(key))], dtype=np.int64)
-            acc, res = acc[at], res[at]
-        yield (start, stop), at, acc, res
+            np.take(stack, pref[:, t], axis=0, out=factor, mode="clip")
+            acc, spare = np.matmul(acc, factor, out=spare), acc
+        # a wrapped kernel may ignore out, so its result is what counts
+        res = fam.index_mult(pref, every_last=True, out=out[:, :p])
+        if table is None:
+            at = np.arange(p)
+        else:
+            at = table.claim(acc.reshape(p, -1).view(np.uint64), res)
+        yield (start, stop), at, acc[at], res[at]
 
 
 def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
@@ -252,9 +344,12 @@ def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
     prod, dev = np.empty_like(acc), np.empty(acc.shape)
     worsts = np.empty(order)
     bad = None
+    # take converts a column of narrow results to intp on every call, so
+    # convert them once, to one contiguous row per last label
+    results = np.ascontiguousarray(res.T, dtype=np.intp)
     for last in range(order):
         np.matmul(tall, fam.dense_stack[last], out=prod.reshape(tall.shape))
-        expected = fam.dense_stack.take(res[:, last], axis=0)
+        expected = fam.dense_stack.take(results[last], axis=0)
         worsts[last], mask = _deviation(prod, expected, tol, dev)
         if mask is not None:
             row = int(at[np.argmax(mask)]) * order + last
@@ -324,6 +419,17 @@ def gate(kind: str, order: int, mult_len: int, *, mode: str, budget: int,
             if closure else f"{total} bracketing tuples exceed the budget of {budget}"
         )
     return tuple_len, total, exhaustive
+
+
+def lowering_gate(order: int, n: int, budget: int) -> None:
+    """Refuse a family of ``order`` labels whose dense forms, of dimension
+    2(n-1), hold more than ``budget`` entries.  Every check lowers every
+    label, and a label set this large cannot even be enumerated, so it is
+    refused by arithmetic alone, before anything is allocated."""
+    entries = order * (2 * (n - 1)) ** 2
+    if entries > budget:
+        raise DomainError(f"{order} labels lower to {entries} dense entries, "
+                          f"over the budget of {budget}")
 
 
 def _in_order(pool: ThreadPoolExecutor, fn: Callable, jobs, ahead: int):

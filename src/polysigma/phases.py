@@ -286,12 +286,9 @@ def _last_factor_tables(q: int, slots: np.ndarray, parts: np.ndarray,
     the part, in slot s, of the product of prefix code c with slot
     (s + shift) mod m of each of the k labels with (m, k) slot codes
     ``slots``: the last factor of a product whose prefix has ``shift``
-    factors, mod m, finished for every label at once.  The tables are int32
-    when the join of the largest parts fits it, which halves their memory
-    and the bytes their row gathers move."""
+    factors, mod m, finished for every label at once, in the dtype of
+    ``parts``."""
     cayley, m = _cayley_table(q), len(slots)
-    narrow = parts.max(axis=1).sum() <= np.iinfo(np.int32).max
-    parts = parts.astype(np.int32 if narrow else np.int64)
     # take keeps the tables C-ordered, so a gathered row is contiguous
     tables = [parts[s][cayley.take(slots[(s + shift) % m], axis=1)] for s in range(m)]
     for table in tables:
@@ -312,25 +309,47 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
     kernel; row-wise calls never build them.  One-factor prefixes build no
     table: a sweep meets each label once as a prefix, so a table row would
     be read about once, and each prefix is folded with every label
-    outright."""
+    outright.  every_last results take the smallest unsigned dtype that
+    holds the label count (uint8 below 256 labels, uint16 below 65,536),
+    which cuts the tables' memory and the bytes their row gathers move.
+
+    ``out``, a (2, P, k) array of that dtype, gives an every_last call its
+    memory: the result is written to out[0], which is returned, and out[1]
+    holds one slot's rows while the join folds them in."""
     m = len(slots)
     parts, join = _slot_parts(name, q, m)
+    # the join of each slot's largest reachable part is the largest label
+    # index (a group family never reaches the zero code); one more is the
+    # label count, which arithmetic modulo it must be able to hold
+    reachable = parts if name == "elementary" else parts[:, :-1]
+    count = int(join.reduce(reachable.max(axis=1))) + 1
+    narrow = parts.astype(np.min_scalar_type(count))
     tables: dict[int, list[np.ndarray]] = {}
     lock = threading.Lock()
 
     def last_tables(shift: int) -> list[np.ndarray]:
         with lock:  # sweep workers share the kernel; build each shift once
             if shift not in tables:
-                tables[shift] = _last_factor_tables(q, slots, parts, shift)
+                tables[shift] = _last_factor_tables(q, slots, narrow, shift)
             return tables[shift]
 
-    def index_mult(idx: np.ndarray, every_last: bool = False) -> np.ndarray:
+    def index_mult(idx: np.ndarray, every_last: bool = False,
+                   out: np.ndarray | None = None) -> np.ndarray:
         factors = [np.take(slots, idx[:, t], axis=1) for t in range(idx.shape[1])]
+        rows = parts
         if every_last and len(factors) == 1:
-            factors, every_last = [factors[0][:, :, None], slots[:, None, :]], False
+            factors, rows = [factors[0][:, :, None], slots[:, None, :]], narrow
+        elif every_last:
+            rows = last_tables(idx.shape[1] % m)
         codes = _slot_fold(q, factors)
-        rows = last_tables(idx.shape[1] % m) if every_last else parts
-        return functools.reduce(join, (rows[s][codes[s]] for s in range(m)))
+        if out is None:
+            return functools.reduce(join, (rows[s][codes[s]] for s in range(m)))
+        # codes index their tables' rows, so "clip" never clips; unlike
+        # "raise", it writes straight into out
+        res = np.take(rows[0], codes[0], axis=0, out=out[0], mode="clip")
+        for s in range(1, m):
+            join(res, np.take(rows[s], codes[s], axis=0, out=out[1], mode="clip"), out=res)
+        return res
 
     return index_mult
 
@@ -746,6 +765,7 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
     mult_len, order = family_size(family, n, q)
     oracle.gate("closure", order, mult_len, tol=tol, **closure_gate)
     oracle.gate("associativity", order, mult_len, **assoc_gate)
+    oracle.lowering_gate(order, n, closure_budget)
     closure = oracle.closure_check(family, n, q, samples=closure_samples,
                                    seed=seed, tol=tol, **closure_gate)
     assoc = oracle.assoc_check(family, n, q, samples=assoc_samples, seed=seed,

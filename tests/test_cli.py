@@ -210,6 +210,33 @@ def test_verify_bad_tolerance_or_seed_is_usage_error(tmp_path, args):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command, args", [
+    ("verify", ["--family", "elementary", "--n", "3", "--q", "4"]),
+    ("cayley", ["--family", "pauli", "--q", "4"]),
+])
+def test_negative_budget_is_usage_error(capsys, tmp_path, command, args):
+    # a negative verify budget made auto mode sample and pass (exit 0)
+    out = tmp_path / "out"
+    assert exit_code([command, *args, "--budget", "-3", "--out", out]) == 2
+    assert "a budget must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_a_label_set_too_large_to_lower(monkeypatch, capsys, tmp_path):
+    # het (40, 4) has 16^39 labels, which numpy cannot enumerate: the
+    # refusal comes from arithmetic, before any family context is built
+    def no_context(*args):
+        raise AssertionError("a family context was built before the refusal")
+
+    monkeypatch.setattr(oracle, "family_context", no_context)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--family", "het", "--n", "40", "--q", "4", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {16 ** 39} labels lower to {16 ** 39 * 78 ** 2} dense entries, "
+        f"over the budget of {oracle.DEFAULT_BUDGET}\n")
+    assert not out.exists()
+
+
 def test_verify_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

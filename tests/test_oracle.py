@@ -272,6 +272,18 @@ def test_check_mode_and_budget_gate(check, refusal):
     assert res.checked == res.total == 50
 
 
+def test_lowering_gate_counts_dense_entries():
+    # het (4, 8): 32,768 labels of 6x6, 1,179,648 entries; pauli (q = 360):
+    # 1,440 labels of 2x2; het (40, 4): 16^39 labels of 78x78
+    oracle.lowering_gate(32_768, 4, 1_179_648)
+    oracle.lowering_gate(1_440, 2, 5_760)
+    with pytest.raises(DomainError, match=r"^32768 labels lower to 1179648 dense entries, "
+                                          r"over the budget of 1179647$"):
+        oracle.lowering_gate(32_768, 4, 1_179_647)
+    with pytest.raises(DomainError, match=f"^{16 ** 39} labels lower to "):
+        oracle.lowering_gate(16 ** 39, 40, oracle.DEFAULT_BUDGET)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
 def test_check_gate_refuses_a_tolerance_that_is_not_positive(tol):
     # every dev > tol is False under a NaN tolerance, so it would pass anything
@@ -377,8 +389,8 @@ def _doctor(monkeypatch, family, n, q, results=None, **changes):
     ``results(rows, products)``."""
     fam = family_context(family, n, q)
     if results is not None:
-        changes["index_mult"] = lambda idx, every_last=False: results(
-            idx, fam.index_mult(idx, every_last))
+        changes["index_mult"] = lambda idx, every_last=False, **kw: results(
+            idx, fam.index_mult(idx, every_last, **kw))
     bad = dataclasses.replace(fam, **changes)
     monkeypatch.setattr(oracle, "family_context", lambda *args: bad)
 
@@ -599,6 +611,23 @@ def test_failing_closure_class_across_chunks_matches_literal_reference(monkeypat
     # members in later ones.  checked,
     # the witness and the worst deviation must be those of a literal
     # per-tuple sweep
+    _failing_class_matches_literal_reference(monkeypatch)
+
+
+def _constant_fingerprint(monkeypatch):
+    """Give every prefix one fingerprint, so that only the first class is
+    found by its fingerprint and every other one by its exact key."""
+    monkeypatch.setattr(oracle, "_fingerprint",
+                        lambda words, scratch: np.zeros(len(words), dtype=np.uint64))
+
+
+def test_failing_closure_class_without_fingerprints_matches_literal_reference(monkeypatch):
+    # the doctored class above, found through the exact path alone
+    _constant_fingerprint(monkeypatch)
+    _failing_class_matches_literal_reference(monkeypatch)
+
+
+def _failing_class_matches_literal_reference(monkeypatch):
     fam = family_context("het", 3, 4)
     stack, order = fam.dense_stack, fam.order
     target = stack[0] @ stack[10]
@@ -647,6 +676,44 @@ def test_failing_closure_class_across_chunks_matches_literal_reference(monkeypat
             "operands": [fam.label(i).token() for i in row],
             "max_abs_deviation": worst,
         }
+
+
+@pytest.mark.parametrize("family, n, q", [("het", 3, 4), ("full", 3, 8)])
+def test_exhaustive_closure_without_fingerprints_judges_the_same_classes(monkeypatch,
+                                                                        family, n, q):
+    # every prefix colliding on one fingerprint sends all classes but the
+    # first through the exact path: the same prefixes must be judged, and
+    # the results must be identical
+    real = oracle._closure_on_range
+
+    def sweep():
+        judged = []
+        monkeypatch.setattr(oracle, "_closure_on_range", lambda f, at, acc, res, tol: (
+            judged.append(len(at)) or real(f, at, acc, res, tol)))
+        res = closure_check(family, n, q, mode="exhaustive", tol=1e-12, workers=1)
+        return res, judged
+
+    want, judged = sweep()
+    _constant_fingerprint(monkeypatch)
+    got, judged_exactly = sweep()
+    assert got == want and judged_exactly == judged
+    assert want.passed and sum(judged) < family_context(family, n, q).order ** 2
+
+
+@pytest.mark.parametrize("family, n, q", [("het", 3, 4), ("elementary", 3, 8), ("pauli", 2, 12)])
+def test_every_last_writes_into_out(family, n, q):
+    # the kernel's every_last result written into a given (2, P, k) buffer,
+    # here larger than needed and filled with garbage, must be the
+    # allocating path's bit for bit, and must be the buffer's first plane;
+    # pauli prefixes have one factor, so they take the kernel's outright fold
+    fam = family_context(family, n, q)
+    prefixes = fam.order ** (fam.mult_len - 1)
+    pref = phases._build_tuples(fam.order, fam.mult_len - 1, prefixes - 40, prefixes)
+    want = fam.index_mult(pref, every_last=True)
+    out = np.full((2, 64, fam.order), 7, dtype=want.dtype)
+    got = fam.index_mult(pref, every_last=True, out=out[:, :len(pref)])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.base is out and got.ctypes.data == out.ctypes.data
 
 
 # ---------------------------------------------------------------------------
