@@ -327,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative("a seed"), default=_DEF_SEED)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--budget", type=_nonnegative("a budget"), default=oracle.DEFAULT_BUDGET,
-                   help="product budget for exhaustive sweeps, and entry budget "
-                        "for the lowered labels")
+                   help="product budget for exhaustive sweeps")
     p.add_argument("--out", help="write the structure report JSON here")
     p.add_argument("--junit", help="also write a JUnit XML summary here")
     p.set_defaults(func=cmd_verify)

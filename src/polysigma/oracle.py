@@ -421,17 +421,6 @@ def gate(kind: str, order: int, mult_len: int, *, mode: str, budget: int,
     return tuple_len, total, exhaustive
 
 
-def lowering_gate(order: int, n: int, budget: int) -> None:
-    """Refuse a family of ``order`` labels whose dense forms, of dimension
-    2(n-1), hold more than ``budget`` entries.  Every check lowers every
-    label, and a label set this large cannot even be enumerated, so it is
-    refused by arithmetic alone, before anything is allocated."""
-    entries = order * (2 * (n - 1)) ** 2
-    if entries > budget:
-        raise DomainError(f"{order} labels lower to {entries} dense entries, "
-                          f"over the budget of {budget}")
-
-
 def _in_order(pool: ThreadPoolExecutor, fn: Callable, jobs, ahead: int):
     """``fn`` over ``jobs`` on the pool, its results yielded in job order.
     Jobs are drawn on the calling thread, at most ``ahead`` of the last

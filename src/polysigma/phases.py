@@ -313,9 +313,10 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
     holds the label count (uint8 below 256 labels, uint16 below 65,536),
     which cuts the tables' memory and the bytes their row gathers move.
 
-    ``out``, a (2, P, k) array of that dtype, gives an every_last call its
-    memory: the result is written to out[0], which is returned, and out[1]
-    holds one slot's rows while the join folds them in."""
+    The result is written to out[0], which is returned, and out[1] holds
+    one slot's rows while the join folds them in.  ``out``, a (2, P, k)
+    array of that dtype, lets an every_last caller reuse that memory; by
+    default it is allocated per call."""
     m = len(slots)
     parts, join = _slot_parts(name, q, m)
     # the join of each slot's largest reachable part is the largest label
@@ -342,8 +343,9 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
         elif every_last:
             rows = last_tables(idx.shape[1] % m)
         codes = _slot_fold(q, factors)
-        if out is None:
-            return functools.reduce(join, (rows[s][codes[s]] for s in range(m)))
+        if out is None:  # apart, so the result does not keep the join's rows alive
+            out = [np.empty((*codes[0].shape, *rows[0].shape[1:]), rows[0].dtype)
+                   for _ in range(min(m, 2))]
         # codes index their tables' rows, so "clip" never clips; unlike
         # "raise", it writes straight into out
         res = np.take(rows[0], codes[0], axis=0, out=out[0], mode="clip")
@@ -356,7 +358,8 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
 
 def family_size(name: str, n: int, q: int) -> tuple[int, int]:
     """The factor count of a family's product (2 for pauli, else n >= 2)
-    and its label count, checked before anything is enumerated."""
+    and its label count, checked before anything is enumerated: a label
+    count that numpy cannot index is refused."""
     check_modulus(q)
     if name == "pauli":
         return 2, 4 * q
@@ -366,6 +369,9 @@ def family_size(name: str, n: int, q: int) -> tuple[int, int]:
               "het": het_order_enumerated(n, q)}
     if name not in orders:
         raise DomainError(f"unknown family {name!r}; expected one of {('pauli', *orders)}")
+    if orders[name] > np.iinfo(np.intp).max:
+        raise DomainError(f"{orders[name]} labels are too many to enumerate "
+                          f"(at most {np.iinfo(np.intp).max})")
     return n, orders[name]
 
 
@@ -765,7 +771,6 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
     mult_len, order = family_size(family, n, q)
     oracle.gate("closure", order, mult_len, tol=tol, **closure_gate)
     oracle.gate("associativity", order, mult_len, **assoc_gate)
-    oracle.lowering_gate(order, n, closure_budget)
     closure = oracle.closure_check(family, n, q, samples=closure_samples,
                                    seed=seed, tol=tol, **closure_gate)
     assoc = oracle.assoc_check(family, n, q, samples=assoc_samples, seed=seed,

@@ -232,8 +232,8 @@ def test_verify_refuses_a_label_set_too_large_to_lower(monkeypatch, capsys, tmp_
     out = tmp_path / "r.json"
     assert run(["verify", "--family", "het", "--n", "40", "--q", "4", "--out", out]) == 2
     assert capsys.readouterr().err == (
-        f"error: {16 ** 39} labels lower to {16 ** 39 * 78 ** 2} dense entries, "
-        f"over the budget of {oracle.DEFAULT_BUDGET}\n")
+        f"error: {16 ** 39} labels are too many to enumerate "
+        f"(at most {np.iinfo(np.intp).max})\n")
     assert not out.exists()
 
 

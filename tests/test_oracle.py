@@ -272,16 +272,16 @@ def test_check_mode_and_budget_gate(check, refusal):
     assert res.checked == res.total == 50
 
 
-def test_lowering_gate_counts_dense_entries():
-    # het (4, 8): 32,768 labels of 6x6, 1,179,648 entries; pauli (q = 360):
-    # 1,440 labels of 2x2; het (40, 4): 16^39 labels of 78x78
-    oracle.lowering_gate(32_768, 4, 1_179_648)
-    oracle.lowering_gate(1_440, 2, 5_760)
-    with pytest.raises(DomainError, match=r"^32768 labels lower to 1179648 dense entries, "
-                                          r"over the budget of 1179647$"):
-        oracle.lowering_gate(32_768, 4, 1_179_647)
-    with pytest.raises(DomainError, match=f"^{16 ** 39} labels lower to "):
-        oracle.lowering_gate(16 ** 39, 40, oracle.DEFAULT_BUDGET)
+@pytest.mark.parametrize("check", [
+    lambda: closure_check("het", 40, 4, mode="sample"),
+    lambda: oracle.assoc_check("het", 40, 4, mode="sample"),
+    lambda: oracle.exhaustive_sweep("het", 40, 4, 40),
+    lambda: oracle.sampled_sweep("het", 40, 4, 40),
+])
+def test_checks_refuse_a_label_set_numpy_cannot_index(check):
+    # het (40, 4) has 16^39 labels; np.arange over them raised a ValueError
+    with pytest.raises(DomainError, match=f"^{16 ** 39} labels are too many to enumerate"):
+        check()
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
@@ -703,17 +703,21 @@ def test_exhaustive_closure_without_fingerprints_judges_the_same_classes(monkeyp
 @pytest.mark.parametrize("family, n, q", [("het", 3, 4), ("elementary", 3, 8), ("pauli", 2, 12)])
 def test_every_last_writes_into_out(family, n, q):
     # the kernel's every_last result written into a given (2, P, k) buffer,
-    # here larger than needed and filled with garbage, must be the
-    # allocating path's bit for bit, and must be the buffer's first plane;
-    # pauli prefixes have one factor, so they take the kernel's outright fold
+    # here larger than needed and filled with garbage, must be the buffer's
+    # first plane, and each prefix followed by each label must lower to the
+    # dense product of its factors; pauli prefixes have one factor, so they
+    # take the kernel's outright fold
     fam = family_context(family, n, q)
     prefixes = fam.order ** (fam.mult_len - 1)
     pref = phases._build_tuples(fam.order, fam.mult_len - 1, prefixes - 40, prefixes)
-    want = fam.index_mult(pref, every_last=True)
-    out = np.full((2, 64, fam.order), 7, dtype=want.dtype)
+    dtype = fam.index_mult(pref[:1], every_last=True).dtype
+    out = np.full((2, 64, fam.order), 7, dtype=dtype)
     got = fam.index_mult(pref, every_last=True, out=out[:, :len(pref)])
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == dtype and got.shape == (len(pref), fam.order)
     assert got.base is out and got.ctypes.data == out.ctypes.data
+    stack = fam.dense_stack
+    acc = functools.reduce(np.matmul, stack[pref].swapaxes(0, 1))
+    assert np.abs(acc[:, None] @ stack - stack[got]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

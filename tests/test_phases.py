@@ -70,6 +70,16 @@ def test_modulus_rejected(bad):
         check_modulus(bad)
 
 
+def test_family_size_refuses_a_label_count_numpy_cannot_index():
+    # het (16, 4) has 16^15 = 2^60 labels, het (17, 4) 2^64: counted, never
+    # enumerated
+    assert phases.family_size("het", 16, 4) == (16, 2 ** 60)
+    assert np.iinfo(np.intp).max < 2 ** 64
+    with pytest.raises(DomainError, match=f"^{2 ** 64} labels are too many to enumerate "
+                                          rf"\(at most {np.iinfo(np.intp).max}\)$"):
+        phases.family_size("het", 17, 4)
+
+
 def test_root_of_unity_exact_quarters():
     assert root_of_unity(0, 4) == 1
     assert root_of_unity(1, 4) == 1j
