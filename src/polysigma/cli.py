@@ -27,7 +27,7 @@ _DEF_SEED = 42
 
 
 #: table rows per kernel call; bounds the working memory of an export.
-_CAYLEY_CHUNK = 1 << 10
+_CAYLEY_CHUNK = 1 << 12
 
 
 def _result_fields(lab) -> list[str]:
@@ -53,6 +53,57 @@ def _cayley_chunks(fam):
         yield pref, fam.index_mult(pref, every_last=True)
 
 
+def _write_csv(fh, fam, tokens, fields) -> None:
+    """The table as CSV, one block of prefixes at a time.  No token or field
+    needs CSV quoting, so a row is its cells joined by "," and ended by
+    "\r\n", as csv.writer writes it: a prefix's head, a last label's head
+    and the result's tail.  A block is a (prefixes, order, 3) object array
+    of these cells, written with one join; every label's head sits in its
+    middle column from the start."""
+    order = fam.order
+    heads = np.array([tok + "," for tok in tokens], dtype=object)
+    tails = np.array([",".join(f) + "\r\n" for f in fields], dtype=object)
+    block = np.empty((max(1, _CAYLEY_CHUNK // order), order, 3), dtype=object)
+    block[:, :, 1] = heads
+    fh.write(",".join([f"op{i + 1}" for i in range(fam.mult_len)]
+                      + ["result_j", "result_k", "result_r"]) + "\r\n")
+    for pref, res in _cayley_chunks(fam):
+        cells = block[:len(pref)]
+        head = heads[pref[:, 0]]
+        for t in range(1, pref.shape[1]):
+            head += heads[pref[:, t]]
+        cells[:, :, 0] = head[:, None]
+        np.take(tails, res, out=cells[:, :, 2])
+        fh.write("".join(cells.ravel().tolist()))
+
+
+def _write_dense_json(fh, fam, tokens, fields, args) -> None:
+    """The table with each row's literal dense product, one entry at a time,
+    as the bytes that json.dump(payload, sort_keys=True, indent=2) and a
+    newline write: "entries" is the first of the payload's sorted keys, and
+    an entry sits two levels deep, four spaces in."""
+    encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+    fh.write('{\n  "entries": [')
+    sep = "\n"
+    for pref, res in _cayley_chunks(fam):
+        for ops, row in zip(pref.tolist(), res.tolist()):
+            # the left-to-right product, its prefix shared by the run
+            head = fam.dense_stack[ops[0]]
+            for i in ops[1:]:
+                head = head @ fam.dense_stack[i]
+            for last, r in enumerate(row):
+                entry = encode({
+                    "operands": [tokens[i] for i in ops] + [tokens[last]],
+                    "result": fields[r],
+                    "dense": [[[z.real, z.imag] for z in line]
+                              for line in (head @ fam.dense_stack[last]).tolist()],
+                })
+                fh.write(sep + "    " + entry.replace("\n", "\n    "))
+                sep = ",\n"
+    rest = encode({"family": args.family, "n": args.n, "q": args.q})
+    fh.write("\n  ]," + rest[1:] + "\n")
+
+
 def cmd_cayley(args) -> int:
     n, order = phases.family_size(args.family, args.n, args.q)  # refuses n < 2
     rows = order ** n
@@ -63,46 +114,17 @@ def cmd_cayley(args) -> int:
             file=sys.stderr,
         )
         return 2
-    fam = oracle.family_context(args.family, args.n, args.q)
-    labels = [fam.label(i) for i in range(fam.order)]
-    tokens = [lab.token() for lab in labels]
-    fields = [_result_fields(lab) for lab in labels]
-    if args.format == "csv":
-        # no token or field needs CSV quoting, so a row is its cells joined
-        # by "," and ended by "\r\n", as csv.writer writes it.  A prefix's
-        # rows are one join of (its head, a last label's head, that row's
-        # result tail) triples; only the first and last of these change.
-        heads = [tok + "," for tok in tokens]
-        tails = [",".join(f) + "\r\n" for f in fields]
-        cells = [""] * (3 * order)
-        cells[1::3] = heads
-        with open(args.out, "w", newline="") as fh:
-            fh.write(",".join([f"op{i + 1}" for i in range(fam.mult_len)]
-                              + ["result_j", "result_k", "result_r"]) + "\r\n")
-            for pref, res in _cayley_chunks(fam):
-                for ops, row in zip(pref.tolist(), res.tolist()):
-                    cells[0::3] = ["".join(map(heads.__getitem__, ops))] * order
-                    cells[2::3] = map(tails.__getitem__, row)
-                    fh.write("".join(cells))
-    else:  # dense-json
-        entries = []
-        for pref, res in _cayley_chunks(fam):
-            for ops, row in zip(pref.tolist(), res.tolist()):
-                # the left-to-right product, its prefix shared by the run
-                head = fam.dense_stack[ops[0]]
-                for i in ops[1:]:
-                    head = head @ fam.dense_stack[i]
-                for last, r in enumerate(row):
-                    entries.append({
-                        "operands": [tokens[i] for i in ops] + [tokens[last]],
-                        "result": fields[r],
-                        "dense": [[[z.real, z.imag] for z in line]
-                                  for line in (head @ fam.dense_stack[last]).tolist()],
-                    })
-        payload = {"family": args.family, "n": args.n, "q": args.q, "entries": entries}
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    as_csv = args.format == "csv"
+    # opened before any work, so an unwritable path is refused at once
+    with open(args.out, "w", newline="" if as_csv else None) as fh:
+        fam = oracle.family_context(args.family, args.n, args.q)
+        labels = [fam.label(i) for i in range(fam.order)]
+        tokens = [lab.token() for lab in labels]
+        fields = [_result_fields(lab) for lab in labels]
+        if as_csv:
+            _write_csv(fh, fam, tokens, fields)
+        else:
+            _write_dense_json(fh, fam, tokens, fields, args)
     print(f"wrote {rows} rows to {args.out}")
     return 0
 
@@ -367,7 +389,13 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except OSError as exc:
+        if exc.filename is None:
+            print(f"error: {exc.strerror or exc}", file=sys.stderr)
+        else:
+            print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: malformed input ({exc})", file=sys.stderr)
         return 2
 

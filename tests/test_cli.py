@@ -19,6 +19,8 @@ from polysigma.cli import _result_fields, main
 from polysigma.oracle import family_context
 from polysigma.phases import Q12
 
+from conftest import traced_peak
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -294,6 +296,9 @@ _CAYLEY_PINS = {
     "full-n3-q4-dense-json": (
         ["--family", "full", "--n", "3", "--q", "4", "--format", "dense-json"],
         "b147f5ddf591625efb8e6635e023ac84e99834d7daa06ec31a6e562b84295be2"),
+    # the benchmark's export: 912,673 rows in blocks of 42 prefixes
+    "elementary-n3-q12": (["--family", "elementary", "--n", "3", "--q", "12"],
+                          "96f77512497a1b42d8d066b589ccfeb335d9e5d2c4a92f07520b1fd2e8e6ff36"),
 }
 
 
@@ -305,16 +310,60 @@ def test_cayley_outputs_are_pinned(tmp_path, args, sha):
 
 
 @pytest.mark.parametrize("chunk", [5, 48])
-@pytest.mark.parametrize("pin", ["full-n3-q4", "full-n3-q4-dense-json"])
+@pytest.mark.parametrize("pin", ["full-n3-q4", "full-n3-q4-dense-json", "elementary-n3-q4"])
 def test_cayley_prefix_blocks_keep_the_pinned_outputs(monkeypatch, tmp_path, chunk, pin):
-    # 5 rows is less than one run of the 16 labels, so each block is one
-    # prefix; 48 rows make blocks of 3 prefixes, which leave a last block of
-    # 1 of the 256 prefixes.  Neither divides the 4096 rows.
+    # 5 rows is less than one run of the 16 full or 33 elementary labels, so
+    # each block is one prefix; 48 rows make blocks of 3 full prefixes, which
+    # leave a last block of 1 of the 256 prefixes.  Neither divides the rows.
     monkeypatch.setattr(cli, "_CAYLEY_CHUNK", chunk)
     args, sha = _CAYLEY_PINS[pin]
     out = tmp_path / "table"
     assert run(["cayley", *args, "--out", out]) == 0
     assert _sha256(out) == sha
+
+
+def test_cayley_csv_writer_holds_one_block(tmp_path):
+    # the 912,673-row table is 23 MB of text; a block of 42 prefixes' cells
+    # and its joined text take well under 1 MB
+    out = tmp_path / "t.csv"
+    code, peak = traced_peak(lambda: run(
+        ["cayley", "--family", "elementary", "--n", "3", "--q", "12", "--out", out]))
+    assert code == 0 and out.stat().st_size > 20 * 2 ** 20
+    assert peak <= 2 * 2 ** 20
+
+
+def test_cayley_dense_json_is_streamed(tmp_path):
+    # entries are written as they are made: building all 1,024 first, as a
+    # payload for one json.dump, peaked at 1.2 MB traced, against 0.3 MB
+    out = tmp_path / "t.json"
+    code, peak = traced_peak(lambda: run(
+        ["cayley", "--family", "pauli", "--q", "8", "--format", "dense-json", "--out", out]))
+    assert code == 0 and len(json.loads(out.read_text())["entries"]) == 1024
+    assert peak <= 0.75 * 2 ** 20
+
+
+def test_cayley_unwritable_out_is_refused_before_any_work(monkeypatch, capsys, tmp_path):
+    def no_work(*args):
+        raise AssertionError("the table was built before its file was opened")
+
+    monkeypatch.setattr(oracle, "family_context", no_work)
+    out = tmp_path / "missing" / "t.csv"
+    for fmt in ("csv", "dense-json"):
+        assert run(["cayley", "--family", "pauli", "--format", fmt, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot open {out}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("command, name, reason", [
+    (["verify", "--family", "pauli", "--q", "4", "--out"], ".", "Is a directory"),
+    (["trace", "--in"], "missing.json", "No such file or directory"),
+    (["param-mul", "--n", "2", "--in"], "missing.json", "No such file or directory"),
+], ids=["verify-out-directory", "trace-missing-in", "param-mul-missing-in"])
+def test_file_that_cannot_be_opened_is_input_error(capsys, tmp_path, command, name, reason):
+    # these used to be reported as malformed input
+    path = tmp_path / name
+    assert run([*command, path]) == 2
+    assert capsys.readouterr().err == f"error: cannot open {path}: {reason}\n"
 
 
 # ---------------------------------------------------------------------------

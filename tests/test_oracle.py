@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import sys
 import threading
 import xml.etree.ElementTree as ET
@@ -224,7 +225,7 @@ def test_sampled_check_slices_match_one_chunk(monkeypatch, check):
 
 def test_sampled_closure_slices_hold_little_besides_the_context():
     # closure slices are bounded by the bytes of a gathered dense stack, so
-    # the 100,000 seeded het (4, 8) tuples (3.2 MB) and a few 1 MB stacks
+    # the 100,000 seeded het (4, 8) tuples (1.6 MB) and a few 1 MB stacks
     # are all the check holds beside the held 18.9 MB dense stack; 2^14-row
     # slices held about 32 MB
     family_context("het", 4, 8)
@@ -246,6 +247,21 @@ def test_lowered_querelements_match_the_public_formulas(family, n, q, public):
     want = np.stack([quer(fam.label(i)).dense() for i in range(fam.order)])
     got = oracle._lowered_querelements(fam, getattr(phases, f"_{public}"))
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order, tuple_len, samples, seed, sha", [
+    (4, 3, 1000, 42, "e1fde4a458f823b8661551d7e3eebf10db5011e0f557a7d7c0048239e0626334"),
+    (16, 2, 7, 0, "1c246fcd48c54b6c5528db139a61505bc8b4d371ddc1eee261dc4bb072fff23f"),
+    (32768, 7, 100_000, 42,
+     "e7418f4a1ea1d9ad9e0ccec69ee26b3a352847f063998b720fc9441dafa05cba"),
+    (70_000, 3, 5000, 7, "44baf2ffe68bca8c495ab54f864ef47a9888c381c9a8c9fa4cd07cb070223b37"),
+], ids=["pauli-q4-cover", "short", "het4-assoc", "above-2^16"])
+def test_sampled_tuples_are_pinned(order, tuple_len, samples, seed, sha):
+    # the digests are of int64 draws; int32 draws give the same tuples, and
+    # the label permutation drawn after them is the same too
+    tuples = oracle._sampled_tuples(order, tuple_len, samples, seed)
+    assert tuples.dtype == np.int32 and tuples.shape == (samples, tuple_len)
+    assert hashlib.sha256(tuples.astype(np.int64).tobytes()).hexdigest() == sha
 
 
 def test_closure_check_sample_covers_labels():
