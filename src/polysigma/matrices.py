@@ -6,9 +6,9 @@ integers; the matrices here are plain ``numpy`` ``complex128`` arrays and are
 only ever compared within explicit tolerances.
 
 The cyclic-shift geometry lives here once, for matrices and labels alike:
-where block s sits (``cyclic_layout``, ``cyclic_dense``), which factor blocks
-a product's block s multiplies (``cyclic_fold``) and which factor counts
-close (``check_factor_count``).
+where block s sits (``cyclic_layout``, ``cyclic_places``, ``cyclic_dense``),
+which factor blocks a product's block s multiplies (``cyclic_fold``) and which
+factor counts close (``check_factor_count``).
 """
 
 from __future__ import annotations
@@ -96,21 +96,26 @@ def allclose(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return max_abs_diff(a, b) <= tol
 
 
-def cyclic_layout(lead: tuple, m: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A zeroed stack (*lead, 2m, 2m) of cyclic-shift matrices and views of
-    its m block positions: view s, (*lead, 2, 2), is block s at block
+def cyclic_places(dense: np.ndarray, m: int) -> list[np.ndarray]:
+    """Views of the m block positions of a C-contiguous stack (..., 2m, 2m)
+    of cyclic-shift matrices: view s, (..., 2, 2), is block s at block
     position (s, s+1 mod m).  Writing the views fills the stack in place."""
-    out = np.zeros(tuple(lead) + (m, 2, m, 2), dtype=np.complex128)
-    places = [out[..., s, :, (s + 1) % m, :] for s in range(m)]
-    return out.reshape(tuple(lead) + (2 * m, 2 * m)), places
+    blocks = dense.reshape(dense.shape[:-2] + (m, 2, m, 2))  # a view, as dense is contiguous
+    return [blocks[..., s, :, (s + 1) % m, :] for s in range(m)]
+
+
+def cyclic_layout(lead: tuple, m: int) -> np.ndarray:
+    """A zeroed stack (*lead, 2m, 2m) of cyclic-shift matrices, to be filled
+    through its block positions (``cyclic_places``)."""
+    return np.zeros(tuple(lead) + (2 * m, 2 * m), dtype=np.complex128)
 
 
 def cyclic_dense(blocks) -> np.ndarray:
     """Dense forms (..., 2m, 2m) of cyclic-shift matrices with blocks
     (..., m, 2, 2): block s sits at block position (s, s+1 mod m)."""
     blocks = np.asarray(blocks, dtype=np.complex128)
-    dense, places = cyclic_layout(blocks.shape[:-3], blocks.shape[-3])
-    for s, place in enumerate(places):
+    dense = cyclic_layout(blocks.shape[:-3], blocks.shape[-3])
+    for s, place in enumerate(cyclic_places(dense, blocks.shape[-3])):
         place[...] = blocks[..., s, :, :]
     return dense
 

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import threading
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import phases
 from .errors import BudgetExceededError, DomainError
-from .matrices import DEFAULT_TOL, BlockCyclicMatrix
+from .matrices import DEFAULT_TOL, BlockCyclicMatrix, cyclic_layout
 from .su2 import PolyadicSU2Element, SU2Params, binary_su2_matrix
 
 DEFAULT_BUDGET = 30_000_000
@@ -72,13 +73,15 @@ def lower(obj) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Family:
+    """One family's labels as slot codes, with the slot-table kernel; dense
+    forms are lowered from the codes (``phases.lower_slots``) when read."""
+
     name: str
     n: int
     q: int
     order: int
     mult_len: int                       # factor count of the basic product
     slots: np.ndarray                   # (m, order) slot codes, read-only
-    dense_stack: np.ndarray             # (order, d, d), read-only
     #: (B, t) label rows -> (B,) products; with every_last=True,
     #: (P, t) prefixes -> (P, order), each prefix followed by every label,
     #: folding only the prefixes and finishing every label from the
@@ -91,18 +94,35 @@ class _Family:
         """The label object at index ``i``, decoded from its slot codes."""
         return phases.label_from_slots(self.name, self.n, self.q, self.slots[:, i])
 
+    @property
+    def d(self) -> int:
+        """The dimension of a dense form: n-1 blocks of 2."""
+        return 2 * (self.n - 1)
+
+    def lower(self, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Dense forms of the labels at indices ``labels``, into ``out``, a
+        zeroed layout; take leaves each slot's codes contiguous."""
+        return phases.lower_slots(self.slots.take(labels, axis=1).T, self.n, self.q, out=out)
+
+    @functools.cached_property
+    def dense_stack(self) -> np.ndarray:
+        """(order, d, d) read-only dense forms of every label, lowered on
+        first read: by the exhaustive closure, the querelement dense checks
+        and the dense-json export."""
+        dense = phases.lower_slots(self.slots.T, self.n, self.q)
+        dense.flags.writeable = False
+        return dense
+
 
 @functools.lru_cache(maxsize=1)
 def family_context(name: str, n: int, q: int) -> _Family:
-    """Slot codes, dense forms and the slot-table kernel of one family.  The
-    last context is cached, so one run's closure, associativity and
-    structure checks lower the labels once."""
+    """Slot codes and the slot-table kernel of one family.  The last context
+    is cached, so one run's checks share one enumeration, one kernel and,
+    if one of them reads it, one ``dense_stack``."""
     n, order = phases.family_size(name, n, q)
     slots = phases.family_slots(name, n, q)
-    dense = phases.lower_slots(slots.T, n, q)
-    slots.flags.writeable = dense.flags.writeable = False
-    return _Family(name, n, q, order, n, slots, dense,
-                   phases._slot_kernel(name, q, slots))
+    slots.flags.writeable = False
+    return _Family(name, n, q, order, n, slots, phases._slot_kernel(name, q, slots))
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +215,18 @@ def _deviation(prod: np.ndarray, expected: np.ndarray, tol: float,
     return worst, (~(dev <= tol).all(axis=(-2, -1)) if not worst <= tol else None)
 
 
-def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float) -> tuple[float, int | None]:
-    """Max deviation over tuple rows and the first bad row."""
-    stack = fam.dense_stack
-    prod = stack.take(idx[:, 0], axis=0)
+def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float,
+                       bufs: tuple) -> tuple[float, int | None]:
+    """Max deviation over tuple rows and the first bad row.  The factors and
+    label results are lowered from their slot codes into the two zeroed
+    layouts of ``bufs`` and multiplied into its two products (``_check``),
+    so a slice lowers only its own labels and allocates no dense stack."""
+    p = len(idx)
+    layouts, prods, dev = bufs[0][:, :p], bufs[1][:, :p], bufs[2][:p]
+    acc = fam.lower(idx[:, 0], layouts[0])
     for t in range(1, idx.shape[1]):
-        prod = prod @ stack.take(idx[:, t], axis=0)
-    worst, bad = _deviation(prod, stack.take(fam.index_mult(idx), axis=0), tol)
+        acc = np.matmul(acc, fam.lower(idx[:, t], layouts[1]), out=prods[(t + 1) % 2])
+    worst, bad = _deviation(acc, fam.lower(fam.index_mult(idx), layouts[0]), tol, dev)
     return worst, None if bad is None else int(np.argmax(bad))
 
 
@@ -342,7 +367,7 @@ def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
     least bad at*order + last over all labels."""
     if not len(at):
         return 0.0, None
-    order, d = fam.order, fam.dense_stack.shape[-1]
+    order, d = fam.order, fam.d
     tall = acc.reshape(-1, d)
     prod, dev = np.empty_like(acc), np.empty(acc.shape)
     worsts = np.empty(order)
@@ -390,9 +415,10 @@ _CHUNK = 1 << 17
 #: label indices and is this long, since its cost is per kernel call, not
 #: memory; a closure slice is also held to _SAMPLE_SLICE_BYTES.
 _SAMPLE_SLICE = 1 << 14
-#: bound on the bytes of one gathered dense stack of a sampled closure
-#: slice, which holds a few of them at once: at d = 6 a slice is 1,820 rows,
-#: and a het (4, 8) sample peaks about 25 MB lower than with 2^14 rows.
+#: bound on the bytes of one dense stack of a sampled closure slice.  Each
+#: worker lowers a slice's operands into four such stacks, two zeroed
+#: layouts and two products, and holds its deviations in half of one, all
+#: reused from slice to slice: at d = 6 a slice is 1,820 rows.
 _SAMPLE_SLICE_BYTES = 1 << 20
 #: bound on m*n*k of one tall product.  OpenBLAS 0.3 splits a complex GEMM
 #: of about 2^16 m*n*k over two threads; on two cores that doubled CPU time
@@ -449,22 +475,27 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     closure = kind == "closure"
     if not exhaustive:
         sample = _sampled_tuples(fam.order, tuple_len, samples, seed)
-        rows = (min(_SAMPLE_SLICE, _SAMPLE_SLICE_BYTES // fam.dense_stack[0].nbytes)
+        rows = (min(_SAMPLE_SLICE, _SAMPLE_SLICE_BYTES // (16 * fam.d ** 2))
                 if closure else _SAMPLE_SLICE)
         total, jobs = samples, phases._chunk_ranges(samples, rows)
     elif closure:
-        runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.dense_stack.shape[-1] ** 3))
+        runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.d ** 3))
         jobs = _closure_claims(fam, tuple_len, phases._chunk_ranges(total, runs * fam.order))
     else:
         jobs = phases._chunk_ranges(total, _CHUNK)
+    local = threading.local()  # each worker's sampled closure buffers, made once
 
     def work(job):
         if exhaustive and closure:
             return job[0], _closure_on_range(fam, *job[1:], tol)
         idx = (phases._build_tuples(fam.order, tuple_len, *job) if exhaustive
                else sample[slice(*job)])
-        return job, (_closure_on_tuples(fam, idx, tol) if closure
-                     else _assoc_on_tuples(fam, idx))
+        if not closure:
+            return job, _assoc_on_tuples(fam, idx)
+        if not hasattr(local, "bufs"):  # layouts, products, deviations
+            layouts = cyclic_layout((2, rows), fam.n - 1)
+            local.bufs = layouts, np.empty_like(layouts), np.empty(layouts.shape[1:])
+        return job, _closure_on_tuples(fam, idx, tol, local.bufs)
 
     checked, worst = 0, 0.0
     pool = ThreadPoolExecutor(max_workers=w) if w > 1 else None

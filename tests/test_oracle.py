@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysigma import BudgetExceededError, DomainError, oracle, phases
+from polysigma import BudgetExceededError, DomainError, cli, oracle, phases
 from polysigma.matrices import BlockCyclicMatrix, sigma
 from polysigma.oracle import (
     SweepSummary,
@@ -224,15 +224,81 @@ def test_sampled_check_slices_match_one_chunk(monkeypatch, check):
 
 
 def test_sampled_closure_slices_hold_little_besides_the_context():
-    # closure slices are bounded by the bytes of a gathered dense stack, so
-    # the 100,000 seeded het (4, 8) tuples (1.6 MB) and a few 1 MB stacks
-    # are all the check holds beside the held 18.9 MB dense stack; 2^14-row
-    # slices held about 32 MB
+    # closure slices are bounded by the bytes of one slice's dense stack, so
+    # the 100,000 seeded het (4, 8) tuples (1.6 MB) and a few 1 MB buffers
+    # are all the check holds beside the held context, the slot codes and
+    # the kernel; 2^14-row slices held about 32 MB
     family_context("het", 4, 8)
     res, peak = traced_peak(lambda: closure_check(
         "het", 4, 8, mode="sample", samples=100_000, seed=42, workers=1))
     assert res.passed and res.checked == 100_000
     assert peak <= 8 * 2 ** 20
+
+
+def test_sampled_closure_lowers_only_the_labels_it_samples(monkeypatch, tmp_path):
+    # a sampled closure lowers each slice's labels from their slot codes, so
+    # a fresh het (4, 8) context and its check fit in 8 MiB, where every
+    # label's dense form alone is 18.9 MB; a whole verify lowers no label
+    # set as large as the family and leaves the context without its stack
+    family_context.cache_clear()
+    res, peak = traced_peak(lambda: closure_check(
+        "het", 4, 8, mode="sample", samples=100_000, seed=42, workers=1))
+    assert res.passed and res.checked == 100_000
+    assert peak <= 8 * 2 ** 20
+
+    lowered = []
+    real = phases.lower_slots
+    monkeypatch.setattr(phases, "lower_slots", lambda codes, *args, **kwargs: (
+        lowered.append(np.shape(codes)[0]) or real(codes, *args, **kwargs)))
+    family_context.cache_clear()
+    assert cli.main(["verify", "--family", "het", "--n", "4", "--q", "8",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    fam = family_context("het", 4, 8)
+    assert lowered and max(lowered) < fam.order
+    assert "dense_stack" not in vars(fam)
+
+
+def _gathered_sampled_closure(family, n, q, samples, seed):
+    """The sampled closure's products, expected matrices and worst
+    deviation, from gathers out of every label's dense form lowered at
+    once, with the whole sample multiplied in one piece."""
+    fam = family_context(family, n, q)
+    stack = phases.lower_slots(fam.slots.T, fam.n, q)
+    idx = oracle._sampled_tuples(fam.order, fam.mult_len, samples, seed)
+    prods = functools.reduce(np.matmul, [stack[idx[:, t]] for t in range(fam.mult_len)])
+    expected = stack[fam.index_mult(idx)]
+    dev = np.abs(prods - expected).max(axis=(1, 2))
+    return prods, expected, float(dev.max())
+
+
+@pytest.mark.parametrize("family, n, q", [
+    ("pauli", 2, 360), ("full", 5, 8), ("elementary", 4, 12), ("het", 3, 4), ("het", 4, 8),
+])
+def test_sampled_closure_products_match_gathers_bit_for_bit(monkeypatch, family, n, q):
+    # every slice lowers its factors and label results into reused buffers:
+    # each product and expected matrix must have the bits of a gather from
+    # the fully lowered stack, in slices of 3 and 7 rows, whose last one is
+    # partial, and in the default slices, with one worker and with two
+    prods, expected, worst = _gathered_sampled_closure(family, n, q, 1000, 9)
+    real = oracle._deviation
+    for rows in (3, 7, oracle._SAMPLE_SLICE):
+        monkeypatch.setattr(oracle, "_SAMPLE_SLICE", rows)
+        for workers in (1, 2):
+            seen = []
+            monkeypatch.setattr(oracle, "_deviation", lambda prod, want, tol, dev=None: (
+                seen.append((prod.copy(), want.copy())) or real(prod, want, tol, dev)))
+            res = closure_check(family, n, q, mode="sample", samples=1000, seed=9,
+                                workers=workers)
+            assert (res.passed, res.exhaustive, res.checked) == (True, False, 1000)
+            assert res.witness is None and res.max_abs_deviation == worst
+            got = [np.concatenate(parts) for parts in zip(*seen)]
+            if workers == 1:
+                assert got[0].tobytes() == prods.tobytes()
+                assert got[1].tobytes() == expected.tobytes()
+            else:  # slices may finish out of order
+                for mats, want in zip(got, (prods, expected)):
+                    assert sorted(m.tobytes() for m in mats) == sorted(
+                        m.tobytes() for m in want)
 
 
 @pytest.mark.parametrize("family, n, q, public", [
@@ -399,16 +465,36 @@ def test_index_mult_matches_label_mult():
         assert labels[g] == het_nary_mul([labels[i] for i in row], 3)
 
 
-def _doctor(monkeypatch, family, n, q, results=None, **changes):
-    """Make the oracle checks see the family's context with ``changes``
-    applied and, if given, every index_mult result passed through
-    ``results(rows, products)``."""
+def _doctor(monkeypatch, family, n, q, results):
+    """Make the oracle checks see the family's context with every
+    index_mult result passed through ``results(rows, products)``."""
     fam = family_context(family, n, q)
-    if results is not None:
-        changes["index_mult"] = lambda idx, every_last=False, **kw: results(
-            idx, fam.index_mult(idx, every_last, **kw))
-    bad = dataclasses.replace(fam, **changes)
+    bad = dataclasses.replace(fam, index_mult=lambda idx, every_last=False, **kw: results(
+        idx, fam.index_mult(idx, every_last, **kw)))
     monkeypatch.setattr(oracle, "family_context", lambda *args: bad)
+
+
+def _doctor_lowering(monkeypatch, family, n, q, label, corrupt):
+    """Make the one lowering, ``phases.lower_slots``, pass every dense
+    stack it returns through ``corrupt(dense, hit)``, where ``hit`` marks
+    the rows that are the family's label ``label``.  The oracle checks see
+    an empty context cache, so the exhaustive closure's stack and the
+    sampled closure's slices are both lowered through it."""
+    codes = phases.family_slots(family, n, q, [label])[:, 0]
+    real = phases.lower_slots
+
+    def lower_slots(slots, *args, **kwargs):
+        dense = real(slots, *args, **kwargs)
+        corrupt(dense, (np.asarray(slots) == codes).all(axis=-1))
+        return dense
+
+    monkeypatch.setattr(phases, "lower_slots", lower_slots)
+    monkeypatch.setattr(oracle, "family_context",
+                        functools.lru_cache(maxsize=1)(family_context.__wrapped__))
+
+
+def _negate(dense, hit):
+    dense[hit] = -dense[hit]
 
 
 def _five_to_six(rows, products):
@@ -418,9 +504,7 @@ def _five_to_six(rows, products):
 def test_closure_sweep_negative_control(monkeypatch):
     # corrupting one label's dense form must fail the sweep with a
     # deterministic first-failure witness
-    stack = family_context("pauli", 2, 4).dense_stack.copy()
-    stack[3] = -stack[3]
-    _doctor(monkeypatch, "pauli", 2, 4, dense_stack=stack)
+    _doctor_lowering(monkeypatch, "pauli", 2, 4, 3, _negate)
     r1 = closure_check("pauli", 2, 4, mode="exhaustive", tol=1e-12, workers=1)
     r2 = closure_check("pauli", 2, 4, mode="exhaustive", tol=1e-12, workers=1)
     assert not r1.passed
@@ -435,9 +519,10 @@ def test_closure_check_fails_a_non_finite_product(monkeypatch, value, mode):
     # another inf in a product, so the deviation is NaN) is never within the
     # tolerance: the check must fail with a witness and report a worst
     # deviation that is not within it either
-    stack = family_context("pauli", 2, 4).dense_stack.copy()
-    stack[3, 0, 0] = value
-    _doctor(monkeypatch, "pauli", 2, 4, dense_stack=stack)
+    def poison(dense, hit):
+        dense[hit, 0, 0] = value
+
+    _doctor_lowering(monkeypatch, "pauli", 2, 4, 3, poison)
     with np.errstate(invalid="ignore"):
         res = closure_check("pauli", 2, 4, mode=mode, samples=1000, tol=1e-12, workers=1)
     assert not res.passed and res.witness is not None
@@ -458,9 +543,7 @@ def test_closure_sweep_negative_control_prefix_path(monkeypatch):
     # het(3, 4) runs the shared-prefix chunk path; label 100 first shows up as
     # the label result of tuple 352 = (0, 1, 96), so the sweep must stop
     # there with that tuple, in row-major order, as its witness
-    stack = family_context("het", 3, 4).dense_stack.copy()
-    stack[100] = -stack[100]
-    _doctor(monkeypatch, "het", 3, 4, dense_stack=stack)
+    _doctor_lowering(monkeypatch, "het", 3, 4, 100, _negate)
     for workers in (1, 2):
         res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12,
                             workers=workers)
