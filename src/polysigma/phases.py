@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ArityError, DomainError, ValidationError
 from .matrices import (DEFAULT_TOL, check_factor_count, cyclic_fold, cyclic_layout,
                        cyclic_places, sigma)
-from .sigma_algebra import levi_civita, mul_sigma_indices
 
 #: the twelve admissible phase moduli.
 Q12 = (4, 8, 12, 20, 24, 36, 40, 60, 72, 120, 180, 360)
@@ -48,6 +47,35 @@ def root_of_unity(r: int, q: int) -> complex:
         return (1 + 0j, 1j, -1 + 0j, -1j)[(4 * r) // q]
     angle = 2.0 * math.pi * r / q
     return complex(math.cos(angle), math.sin(angle))
+
+
+_EPS = {
+    (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
+    (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1,
+}
+
+
+def levi_civita(k: int, l: int, m: int) -> int:
+    """Three-dimensional permutation symbol on indices 1..3 (0 on repeats)."""
+    return _EPS.get((k, l, m), 0)
+
+
+def mul_sigma_indices(j: int, k: int) -> tuple[int, int]:
+    """sigma_j * sigma_k = i**quarter * sigma_result, exactly.
+
+    Returns (result_index, quarter) with quarter in {0..3}.  Index 0 only
+    passes the other index through; equal nonzero indices square to sigma_0;
+    distinct nonzero indices produce the third index with quarter 2 - eps,
+    i.e. +i for an even permutation and -i for an odd one.
+    """
+    if j == 0:
+        return k, 0
+    if k == 0:
+        return j, 0
+    if j == k:
+        return 0, 0
+    m = 6 - j - k
+    return m, (2 - _EPS[(j, k, m)]) % 4
 
 
 def levi_civita_phase(k: int, l: int, m: int, q: int) -> tuple[int, int]:
@@ -404,8 +432,17 @@ def family_slots(name: str, n: int, q: int, index=None) -> np.ndarray:
         j, k, r = np.unravel_index(np.minimum(index, order - 2), (4, n - 1, q))
         live = (np.arange(n - 1)[:, None] == k) & (index < order - 1)
         return np.where(live, j * q + r, 4 * q)
-    digits = np.unravel_index(index, (4,) * m + (q,) * m)
-    return np.array(digits[:m]) * q + np.array(digits[m:])
+    # index = sum_s j_s * 4^(m-1-s) * q^m + r_s * q^(m-1-s), unravelled in
+    # place one slot at a time: besides the result, one row of digits is held
+    codes, r = np.empty((m, len(index)), dtype=np.int64), np.empty_like(index)
+    for s, row in enumerate(codes):
+        np.floor_divide(index, 4 ** (m - 1 - s) * q ** m, out=row)
+        row %= 4
+        row *= q
+        np.floor_divide(index, q ** (m - 1 - s), out=r)
+        r %= q
+        row += r
+    return codes
 
 
 def label_from_slots(name: str, n: int, q: int, codes: Sequence[int]) -> _Label:

@@ -1,10 +1,13 @@
 """Elementary, full, and heterogeneous Sigma matrices and the ternary calculus.
 
-The workhorse is an exact reduction of sigma-index words: a product of sigma
-matrices is always one sigma matrix times a fourth root of unity, tracked as
-an integer "quarter" exponent (a power of i).  Every closed-form ternary rule
-in this module is a consequence of that kernel, and all of them are verified
-against the dense matrix oracle in the test suite.
+A Sigma matrix is the unphased case of the phase-shifted labels of
+``phases``: a q = 4 label with phase index 0, and a power i**k of the
+quarter-turn unit is the phase index k at q = 4.  The products here are
+one-row q = 4 wrappers over the label algebra's Cayley-table fold, so an
+elementary, full or ternary product is the same fold as any other label
+product.  ``reduce_sigma_word`` stays as a scalar reference for sigma-index
+words.  Every closed-form ternary rule in this module is verified against
+the dense matrix oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -17,36 +20,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .matrices import BlockCyclicMatrix, check_factor_count, sigma
+from .matrices import BlockCyclicMatrix, sigma
+# levi_civita and mul_sigma_indices live in phases, and are public here too
+from .phases import (ElementaryLabel, FullLabel, ZeroLabel, _product, full_nary_mul,  # noqa: F401
+                     levi_civita, mul_sigma_indices, root_of_unity)
 from .su2 import PolyadicSU2Element
-
-_EPS = {
-    (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-    (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1,
-}
-
-
-def levi_civita(k: int, l: int, m: int) -> int:
-    """Three-dimensional permutation symbol on indices 1..3 (0 on repeats)."""
-    return _EPS.get((k, l, m), 0)
-
-
-def mul_sigma_indices(j: int, k: int) -> tuple[int, int]:
-    """sigma_j * sigma_k = i**quarter * sigma_result, exactly.
-
-    Returns (result_index, quarter) with quarter in {0..3}.  Index 0 only
-    passes the other index through; equal nonzero indices square to sigma_0;
-    distinct nonzero indices produce the third index with quarter 2 - eps,
-    i.e. +i for an even permutation and -i for an odd one.
-    """
-    if j == 0:
-        return k, 0
-    if k == 0:
-        return j, 0
-    if j == k:
-        return 0, 0
-    m = 6 - j - k
-    return m, (2 - _EPS[(j, k, m)]) % 4
 
 
 def reduce_sigma_word(js: Iterable[int]) -> tuple[int, int]:
@@ -60,12 +38,9 @@ def reduce_sigma_word(js: Iterable[int]) -> tuple[int, int]:
     return j, quarter
 
 
-_QUARTER_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
 def quarter_unit(quarter: int) -> complex:
     """Exact complex value of i**quarter."""
-    return _QUARTER_UNITS[quarter % 4]
+    return root_of_unity(quarter, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +281,9 @@ class SignedFull:
         return quarter_unit(self.quarter) * self.element.dense()
 
 
-def _positions_chain(ks: Sequence[int], m: int) -> bool:
-    return all(ks[t + 1] % m == (ks[t] + 1) % m for t in range(len(ks) - 1))
-
-
 def elementary_product(factors: Sequence[ElementarySigma]) -> SignedElementary:
-    """Exact product of elementary matrices of a common arity.
+    """Exact product of elementary matrices of a common arity, folded as
+    q = 4 elementary labels with phase 0.
 
     Nonzero only when the block positions chain cyclically (each factor one
     step after the previous); the result sits at the first factor's position
@@ -321,11 +293,11 @@ def elementary_product(factors: Sequence[ElementarySigma]) -> SignedElementary:
     for f in factors:
         if f.arity != arity:
             raise DomainError("mixed arities in elementary product")
-    m = arity - 1
-    if not _positions_chain([f.k - 1 for f in factors], m):
+    lab = _product("elementary", [ElementaryLabel(4, arity, f.j, f.k, 0) for f in factors],
+                   arity)
+    if isinstance(lab, ZeroLabel):
         return ZERO_RESULT
-    j, quarter = reduce_sigma_word([f.j for f in factors])
-    return SignedElementary(quarter, ElementarySigma(arity, j, factors[0].k))
+    return SignedElementary(lab.r, ElementarySigma(arity, lab.j, lab.k))
 
 
 def ternary_triple_elementary(
@@ -346,10 +318,9 @@ def nary_power(s: FullSigma, count: int) -> FullSigma:
     so the result has the same index for odd counts and index 0 for even
     counts.  No phase ever arises.
     """
-    check_factor_count(count, s.arity)
-    j, quarter = reduce_sigma_word([s.j] * count)
-    assert quarter == 0
-    return FullSigma(s.arity, j)
+    lab = full_nary_mul([FullLabel(4, s.arity, s.j, 0)] * count, s.arity)
+    assert lab.r == 0
+    return FullSigma(s.arity, lab.j)
 
 
 def ternary_full_product(a: FullSigma, b: FullSigma, c: FullSigma) -> SignedFull:
@@ -357,29 +328,21 @@ def ternary_full_product(a: FullSigma, b: FullSigma, c: FullSigma) -> SignedFull
     for f in (a, b, c):
         if f.arity != 3:
             raise DomainError("ternary product requires arity 3")
-    j, quarter = reduce_sigma_word((a.j, b.j, c.j))
-    return SignedFull(quarter, FullSigma(3, j))
-
-
-def _dense_of(operand) -> np.ndarray:
-    return operand.dense()
+    lab = full_nary_mul([FullLabel(4, 3, f.j, 0) for f in (a, b, c)], 3)
+    return SignedFull(lab.r, FullSigma(3, lab.j))
 
 
 def ternary_commutator(a, b, c) -> np.ndarray:
     """abc + bca + cab - acb - bac - cba on dense matrices (arity-3 operands)."""
-    A, B, C = _dense_of(a), _dense_of(b), _dense_of(c)
+    A, B, C = a.dense(), b.dense(), c.dense()
     return (A @ B @ C + B @ C @ A + C @ A @ B
             - A @ C @ B - B @ A @ C - C @ B @ A)
 
 
 def ternary_anticommutator(a, b, c) -> np.ndarray:
     """Sum of all six orderings of a ternary product on dense matrices."""
-    out = None
-    mats = {0: _dense_of(a), 1: _dense_of(b), 2: _dense_of(c)}
-    for p in permutations(range(3)):
-        term = mats[p[0]] @ mats[p[1]] @ mats[p[2]]
-        out = term if out is None else out + term
-    return out
+    first, *rest = [x @ y @ z for x, y, z in permutations((a.dense(), b.dense(), c.dense()))]
+    return sum(rest, first)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +377,10 @@ def rule_rows_elementary() -> list[tuple[str, str, int]]:
 def write_rule_csv(path, kind: str) -> int:
     """Write the ternary rule table ('full' or 'elementary') as CSV with
     header lhs_indices, rhs_label, phase_exponent.  Returns the row count."""
-    if kind == "full":
-        rows = rule_rows_full()
-    elif kind == "elementary":
-        rows = rule_rows_elementary()
-    else:
+    tables = {"full": rule_rows_full, "elementary": rule_rows_elementary}
+    if kind not in tables:
         raise DomainError(f"unknown rule table {kind!r}")
+    rows = tables[kind]()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["lhs_indices", "rhs_label", "phase_exponent"])
