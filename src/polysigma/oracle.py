@@ -13,14 +13,10 @@ coverage, so identical configurations give identical summaries.
 
 from __future__ import annotations
 
-import collections
 import functools
 import json
 import math
-import os
-import threading
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -34,23 +30,10 @@ from .su2 import PolyadicSU2Element, SU2Params, binary_su2_matrix
 DEFAULT_BUDGET = 30_000_000
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker count for parallel sweeps, capped by POLYSIGMA_THREADS."""
-    if requested is None:
-        cpus = os.cpu_count() or 1
-        # one worker on 1-2 cores: on 2 vCPUs (OpenBLAS 0.3.31) an exhaustive
-        # het (3, 4) closure took 0.26 s wall with one worker and 0.31-0.34 s
-        # with two, and a full (3, 72) one 1.2 s against 1.7 s; the prefix
-        # classes are claimed on the calling thread, and the judging left to
-        # the pool does not repay the handover
-        requested = 1 if cpus <= 2 else min(4, cpus)
-    cap = os.environ.get("POLYSIGMA_THREADS")
-    if cap is not None:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            raise DomainError(f"POLYSIGMA_THREADS must be an integer, got {cap!r}")
-    return max(1, requested)
+def worker_count() -> int:
+    """1: every closure and associativity check runs on the calling thread,
+    so its only parallelism is BLAS's, which ``_TALL_MNK`` bounds."""
+    return 1
 
 
 def lower(obj) -> np.ndarray:
@@ -415,8 +398,8 @@ _CHUNK = 1 << 17
 #: label indices and is this long, since its cost is per kernel call, not
 #: memory; a closure slice is also held to _SAMPLE_SLICE_BYTES.
 _SAMPLE_SLICE = 1 << 14
-#: bound on the bytes of one dense stack of a sampled closure slice.  Each
-#: worker lowers a slice's operands into four such stacks, two zeroed
+#: bound on the bytes of one dense stack of a sampled closure slice.  A
+#: check lowers a slice's operands into four such stacks, two zeroed
 #: layouts and two products, and holds its deviations in half of one, all
 #: reused from slice to slice: at d = 6 a slice is 1,820 rows.
 _SAMPLE_SLICE_BYTES = 1 << 20
@@ -450,26 +433,11 @@ def gate(kind: str, order: int, mult_len: int, *, mode: str, budget: int,
     return tuple_len, total, exhaustive
 
 
-def _in_order(pool: ThreadPoolExecutor, fn: Callable, jobs, ahead: int):
-    """``fn`` over ``jobs`` on the pool, its results yielded in job order.
-    Jobs are drawn on the calling thread, at most ``ahead`` of the last
-    result yielded, so a claimed job holds its memory only briefly."""
-    pending = collections.deque()
-    for job in jobs:
-        pending.append(pool.submit(fn, job))
-        if len(pending) > ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
-           seed: int | None, tol: float = DEFAULT_TOL,
-           workers: int | None = None) -> CheckResult:
+           seed: int | None, tol: float = DEFAULT_TOL) -> CheckResult:
     """A closure or associativity check through its ``gate``: every tuple in
     row-major chunks, or the seeded sample in slices, up to the first
     failing tuple."""
-    w = worker_count(workers)
     tuple_len, total, exhaustive = gate(kind, fam.order, fam.mult_len,
                                         mode=mode, budget=budget, tol=tol)
     closure = kind == "closure"
@@ -478,56 +446,48 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
         rows = (min(_SAMPLE_SLICE, _SAMPLE_SLICE_BYTES // (16 * fam.d ** 2))
                 if closure else _SAMPLE_SLICE)
         total, jobs = samples, phases._chunk_ranges(samples, rows)
+        if closure:  # layouts, products, deviations, reused from slice to slice
+            layouts = cyclic_layout((2, rows), fam.n - 1)
+            bufs = layouts, np.empty_like(layouts), np.empty(layouts.shape[1:])
     elif closure:
         runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.d ** 3))
         jobs = _closure_claims(fam, tuple_len, phases._chunk_ranges(total, runs * fam.order))
     else:
         jobs = phases._chunk_ranges(total, _CHUNK)
-    local = threading.local()  # each worker's sampled closure buffers, made once
-
-    def work(job):
-        if exhaustive and closure:
-            return job[0], _closure_on_range(fam, *job[1:], tol)
-        idx = (phases._build_tuples(fam.order, tuple_len, *job) if exhaustive
-               else sample[slice(*job)])
-        if not closure:
-            return job, _assoc_on_tuples(fam, idx)
-        if not hasattr(local, "bufs"):  # layouts, products, deviations
-            layouts = cyclic_layout((2, rows), fam.n - 1)
-            local.bufs = layouts, np.empty_like(layouts), np.empty(layouts.shape[1:])
-        return job, _closure_on_tuples(fam, idx, tol, local.bufs)
 
     checked, worst = 0, 0.0
-    pool = ThreadPoolExecutor(max_workers=w) if w > 1 else None
-    try:
-        for (start, stop), (dev, bad) in (_in_order(pool, work, jobs, 2 * w) if pool
-                                          else map(work, jobs)):
-            worst = float(np.maximum(worst, dev))  # a NaN stays NaN
-            if bad is not None:
-                first = start + bad
-                row = (phases._build_tuples(fam.order, tuple_len, first, first + 1)[0]
-                       if exhaustive else sample[first])
-                witness = {"kind": kind,
-                           "operands": [fam.label(int(i)).token() for i in row]}
-                if closure:
-                    witness["max_abs_deviation"] = worst
-                return CheckResult(False, exhaustive, first + 1, total, worst, witness)
-            checked = stop
-    finally:
-        if pool:
-            pool.shutdown(wait=False, cancel_futures=True)
+    for job in jobs:
+        if exhaustive and closure:
+            (start, stop), at, acc, res = job
+            dev, bad = _closure_on_range(fam, at, acc, res, tol)
+        else:
+            start, stop = job
+            idx = (phases._build_tuples(fam.order, tuple_len, start, stop) if exhaustive
+                   else sample[start:stop])
+            dev, bad = (_closure_on_tuples(fam, idx, tol, bufs) if closure
+                        else _assoc_on_tuples(fam, idx))
+        worst = float(np.maximum(worst, dev))  # a NaN stays NaN
+        if bad is not None:
+            first = start + bad
+            row = (phases._build_tuples(fam.order, tuple_len, first, first + 1)[0]
+                   if exhaustive else sample[first])
+            witness = {"kind": kind,
+                       "operands": [fam.label(int(i)).token() for i in row]}
+            if closure:
+                witness["max_abs_deviation"] = worst
+            return CheckResult(False, exhaustive, first + 1, total, worst, witness)
+        checked = stop
     return CheckResult(True, exhaustive, checked, total, worst, None)
 
 
 def closure_check(family: str, n: int, q: int, *, mode: str = "auto",
                   budget: int = DEFAULT_BUDGET, samples: int = 100_000,
-                  seed: int = 42, tol: float = DEFAULT_TOL,
-                  workers: int | None = None) -> CheckResult:
+                  seed: int = 42, tol: float = DEFAULT_TOL) -> CheckResult:
     """Oracle check of the family's product: the symbolic result of every
     enumerated (or sampled) factor tuple must equal the literal dense product
     entrywise within ``tol``."""
     return _check(family_context(family, n, q), "closure", mode=mode, budget=budget,
-                  samples=samples, seed=seed, tol=tol, workers=workers)
+                  samples=samples, seed=seed, tol=tol)
 
 
 def assoc_check(family: str, n: int, q: int, *, mode: str = "auto",
@@ -560,8 +520,7 @@ def _sweep(family: str, n: int, q: int, tuple_len: int, *, tol: float,
 
 
 def exhaustive_sweep(family: str, n: int, q: int, tuple_len: int, *,
-                     budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL,
-                     workers: int | None = None) -> SweepSummary:
+                     budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL) -> SweepSummary:
     """Exhaustive verification sweep over all label tuples of the given length.
 
     ``tuple_len`` equal to the family's product arity runs the closure/oracle
@@ -569,7 +528,7 @@ def exhaustive_sweep(family: str, n: int, q: int, tuple_len: int, *,
     BudgetExceededError when the tuple count exceeds ``budget``.
     """
     return _sweep(family, n, q, tuple_len, tol=tol, mode="exhaustive",
-                  budget=budget, samples=0, seed=None, workers=workers)
+                  budget=budget, samples=0, seed=None)
 
 
 def sampled_sweep(family: str, n: int, q: int, tuple_len: int, *,

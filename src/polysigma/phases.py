@@ -362,7 +362,7 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
     lock = threading.Lock()
 
     def last_tables(shift: int) -> list[np.ndarray]:
-        with lock:  # sweep workers share the kernel; build each shift once
+        with lock:  # caller threads may share a cached kernel; build each shift once
             if shift not in tables:
                 tables[shift] = _last_factor_tables(q, slots, narrow, shift)
             return tables[shift]

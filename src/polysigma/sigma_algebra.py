@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .matrices import BlockCyclicMatrix, sigma
+from .matrices import BlockCyclicMatrix, check_factor_count, sigma
 # levi_civita and mul_sigma_indices live in phases, and are public here too
 from .phases import (ElementaryLabel, FullLabel, ZeroLabel, _product, full_nary_mul,  # noqa: F401
                      levi_civita, mul_sigma_indices, root_of_unity)
@@ -287,12 +287,16 @@ def elementary_product(factors: Sequence[ElementarySigma]) -> SignedElementary:
 
     Nonzero only when the block positions chain cyclically (each factor one
     step after the previous); the result sits at the first factor's position
-    with the reduced sigma word as its index.
+    with the reduced sigma word as its index.  c factors shift by c blocks,
+    so a result shifts by one only for c = l*(n-1)+1: other counts but 1
+    raise ArityError.
     """
     arity = factors[0].arity
     for f in factors:
         if f.arity != arity:
             raise DomainError("mixed arities in elementary product")
+    if len(factors) > 1:
+        check_factor_count(len(factors), arity)
     lab = _product("elementary", [ElementaryLabel(4, arity, f.j, f.k, 0) for f in factors],
                    arity)
     if isinstance(lab, ZeroLabel):

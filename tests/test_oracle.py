@@ -193,16 +193,6 @@ def test_exhaustive_sweep_deterministic():
     assert a.passed and a.total == 256
 
 
-def test_exhaustive_sweep_worker_partition_invariance(monkeypatch):
-    base = exhaustive_sweep("full", 3, 4, 3)
-    monkeypatch.setenv("POLYSIGMA_THREADS", "2")
-    alt = exhaustive_sweep("full", 3, 4, 3, workers=2)
-    assert base.to_json() == alt.to_json()
-    one = exhaustive_sweep("full", 3, 4, 5, workers=1)
-    two = exhaustive_sweep("full", 3, 4, 5, workers=2)
-    assert one.to_json() == two.to_json()
-
-
 def test_sampled_sweep_deterministic():
     a = sampled_sweep("full", 3, 8, 3, samples=2000, seed=7)
     b = sampled_sweep("full", 3, 8, 3, samples=2000, seed=7)
@@ -230,7 +220,7 @@ def test_sampled_closure_slices_hold_little_besides_the_context():
     # the kernel; 2^14-row slices held about 32 MB
     family_context("het", 4, 8)
     res, peak = traced_peak(lambda: closure_check(
-        "het", 4, 8, mode="sample", samples=100_000, seed=42, workers=1))
+        "het", 4, 8, mode="sample", samples=100_000, seed=42))
     assert res.passed and res.checked == 100_000
     assert peak <= 8 * 2 ** 20
 
@@ -242,7 +232,7 @@ def test_sampled_closure_lowers_only_the_labels_it_samples(monkeypatch, tmp_path
     # set as large as the family and leaves the context without its stack
     family_context.cache_clear()
     res, peak = traced_peak(lambda: closure_check(
-        "het", 4, 8, mode="sample", samples=100_000, seed=42, workers=1))
+        "het", 4, 8, mode="sample", samples=100_000, seed=42))
     assert res.passed and res.checked == 100_000
     assert peak <= 8 * 2 ** 20
 
@@ -278,27 +268,20 @@ def test_sampled_closure_products_match_gathers_bit_for_bit(monkeypatch, family,
     # every slice lowers its factors and label results into reused buffers:
     # each product and expected matrix must have the bits of a gather from
     # the fully lowered stack, in slices of 3 and 7 rows, whose last one is
-    # partial, and in the default slices, with one worker and with two
+    # partial, and in the default slices
     prods, expected, worst = _gathered_sampled_closure(family, n, q, 1000, 9)
     real = oracle._deviation
     for rows in (3, 7, oracle._SAMPLE_SLICE):
         monkeypatch.setattr(oracle, "_SAMPLE_SLICE", rows)
-        for workers in (1, 2):
-            seen = []
-            monkeypatch.setattr(oracle, "_deviation", lambda prod, want, tol, dev=None: (
-                seen.append((prod.copy(), want.copy())) or real(prod, want, tol, dev)))
-            res = closure_check(family, n, q, mode="sample", samples=1000, seed=9,
-                                workers=workers)
-            assert (res.passed, res.exhaustive, res.checked) == (True, False, 1000)
-            assert res.witness is None and res.max_abs_deviation == worst
-            got = [np.concatenate(parts) for parts in zip(*seen)]
-            if workers == 1:
-                assert got[0].tobytes() == prods.tobytes()
-                assert got[1].tobytes() == expected.tobytes()
-            else:  # slices may finish out of order
-                for mats, want in zip(got, (prods, expected)):
-                    assert sorted(m.tobytes() for m in mats) == sorted(
-                        m.tobytes() for m in want)
+        seen = []
+        monkeypatch.setattr(oracle, "_deviation", lambda prod, want, tol, dev=None: (
+            seen.append((prod.copy(), want.copy())) or real(prod, want, tol, dev)))
+        res = closure_check(family, n, q, mode="sample", samples=1000, seed=9)
+        assert (res.passed, res.exhaustive, res.checked) == (True, False, 1000)
+        assert res.witness is None and res.max_abs_deviation == worst
+        got = [np.concatenate(parts) for parts in zip(*seen)]
+        assert got[0].tobytes() == prods.tobytes()
+        assert got[1].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("family, n, q, public", [
@@ -377,14 +360,18 @@ def test_check_gate_refuses_a_tolerance_that_is_not_positive(tol):
         VerificationCase("pauli", (PauliLabel(4, 0, 0),), PauliLabel(4, 0, 0), tol)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("POLYSIGMA_THREADS", "1")
-    assert worker_count(8) == 1
-    monkeypatch.setenv("POLYSIGMA_THREADS", "bogus")
-    with pytest.raises(DomainError):
-        worker_count(2)
-    monkeypatch.delenv("POLYSIGMA_THREADS")
-    assert worker_count(3) == 3
+def test_worker_count_env(monkeypatch, tmp_path):
+    # every check runs on the calling thread: an exported POLYSIGMA_THREADS
+    # is not read, and a verify keeps its pinned outputs
+    for value in ("8", "bogus"):
+        monkeypatch.setenv("POLYSIGMA_THREADS", value)
+        assert worker_count() == 1
+    out, junit = tmp_path / "r.json", tmp_path / "j.xml"
+    assert cli.main(["verify", "--family", "het", "--n", "3", "--q", "4", "--mode", "sample",
+                     "--out", str(out), "--junit", str(junit)]) == 0
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, junit)] == [
+        "4e8048a12fb8c77e6dbc6f56f46328e23a04987534b4a212d7f9c2c4f5d68cc4",
+        "3977469830abb8795d13278cbc46ab30f4b33ff42e2497d29cd512f951757b57"]
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +492,8 @@ def test_closure_sweep_negative_control(monkeypatch):
     # corrupting one label's dense form must fail the sweep with a
     # deterministic first-failure witness
     _doctor_lowering(monkeypatch, "pauli", 2, 4, 3, _negate)
-    r1 = closure_check("pauli", 2, 4, mode="exhaustive", tol=1e-12, workers=1)
-    r2 = closure_check("pauli", 2, 4, mode="exhaustive", tol=1e-12, workers=1)
+    r1 = closure_check("pauli", 2, 4, mode="exhaustive", tol=1e-12)
+    r2 = closure_check("pauli", 2, 4, mode="exhaustive", tol=1e-12)
     assert not r1.passed
     assert r1.witness is not None and r1.checked < r1.total
     assert r1.witness == r2.witness and r1.checked == r2.checked
@@ -524,7 +511,7 @@ def test_closure_check_fails_a_non_finite_product(monkeypatch, value, mode):
 
     _doctor_lowering(monkeypatch, "pauli", 2, 4, 3, poison)
     with np.errstate(invalid="ignore"):
-        res = closure_check("pauli", 2, 4, mode=mode, samples=1000, tol=1e-12, workers=1)
+        res = closure_check("pauli", 2, 4, mode=mode, samples=1000, tol=1e-12)
     assert not res.passed and res.witness is not None
     assert not res.max_abs_deviation <= 1e-12
     assert res.checked <= res.total
@@ -544,16 +531,14 @@ def test_closure_sweep_negative_control_prefix_path(monkeypatch):
     # the label result of tuple 352 = (0, 1, 96), so the sweep must stop
     # there with that tuple, in row-major order, as its witness
     _doctor_lowering(monkeypatch, "het", 3, 4, 100, _negate)
-    for workers in (1, 2):
-        res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12,
-                            workers=workers)
-        assert not res.passed and res.exhaustive
-        assert res.checked == 353 and res.total == 256 ** 3
-        assert res.witness == {
-            "kind": "closure",
-            "operands": ["h0.0r0.0", "h0.0r0.1", "h1.2r0.0"],
-            "max_abs_deviation": 2.0,
-        }
+    res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12)
+    assert not res.passed and res.exhaustive
+    assert res.checked == 353 and res.total == 256 ** 3
+    assert res.witness == {
+        "kind": "closure",
+        "operands": ["h0.0r0.0", "h0.0r0.1", "h1.2r0.0"],
+        "max_abs_deviation": 2.0,
+    }
 
 
 def test_closure_sweep_first_failure_is_row_major_across_labels(monkeypatch):
@@ -571,14 +556,13 @@ def test_closure_sweep_first_failure_is_row_major_across_labels(monkeypatch):
         return products
 
     _doctor(monkeypatch, "het", 3, 4, results=two_wrong)
-    for workers in (1, 2):
-        res = closure_check("het", 3, 4, mode="exhaustive", workers=workers)
-        assert (res.passed, res.exhaustive, res.checked) == (False, True, 201)
-        assert res.witness == {
-            "kind": "closure",
-            "operands": ["h0.0r0.0", "h0.0r0.0", "h3.0r2.0"],
-            "max_abs_deviation": 2 ** 0.5,
-        }
+    res = closure_check("het", 3, 4, mode="exhaustive")
+    assert (res.passed, res.exhaustive, res.checked) == (False, True, 201)
+    assert res.witness == {
+        "kind": "closure",
+        "operands": ["h0.0r0.0", "h0.0r0.0", "h3.0r2.0"],
+        "max_abs_deviation": 2 ** 0.5,
+    }
 
 
 def test_closure_sample_negative_control(monkeypatch):
@@ -587,10 +571,9 @@ def test_closure_sample_negative_control(monkeypatch):
     # the sample is one slice or that tuple lies inside the third slice (3),
     # ends the second (4) or starts it (7)
     _doctor(monkeypatch, "full", 3, 4, results=_five_to_six)
-    for rows, workers in ((oracle._SAMPLE_SLICE, 1), (3, 1), (3, 2), (4, 1), (7, 1)):
+    for rows in (oracle._SAMPLE_SLICE, 3, 4, 7):
         monkeypatch.setattr(oracle, "_SAMPLE_SLICE", rows)
-        res = closure_check("full", 3, 4, mode="sample", samples=2000, seed=7,
-                            workers=workers)
+        res = closure_check("full", 3, 4, mode="sample", samples=2000, seed=7)
         assert (res.passed, res.exhaustive, res.checked, res.total) == (False, False, 8, 2000)
         assert res.witness == {
             "kind": "closure",
@@ -667,7 +650,7 @@ def test_exhaustive_closure_judges_each_class_bit_for_bit(monkeypatch, family, n
     real = oracle._closure_on_range
     monkeypatch.setattr(oracle, "_closure_on_range", lambda f, at, acc, res, tol: (
         judged.append((acc, res)) or real(f, at, acc, res, tol)))
-    swept = closure_check(family, n, q, mode="exhaustive", workers=1)
+    swept = closure_check(family, n, q, mode="exhaustive")
     assert swept.passed and swept.checked == order ** fam.mult_len
 
     classes, reps, worst = {}, [], 0.0
@@ -767,14 +750,13 @@ def _failing_class_matches_literal_reference(monkeypatch):
     chunks = {i // runs for i, key in enumerate(keys) if key == keys[first[0] // order]}
     assert len(chunks) > 1 and min(chunks) == first[0] // order // runs
 
-    for workers in (1, 2):
-        res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12, workers=workers)
-        assert (res.passed, res.checked, res.max_abs_deviation) == (False, checked, worst)
-        assert res.witness == {
-            "kind": "closure",
-            "operands": [fam.label(i).token() for i in row],
-            "max_abs_deviation": worst,
-        }
+    res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12)
+    assert (res.passed, res.checked, res.max_abs_deviation) == (False, checked, worst)
+    assert res.witness == {
+        "kind": "closure",
+        "operands": [fam.label(i).token() for i in row],
+        "max_abs_deviation": worst,
+    }
 
 
 @pytest.mark.parametrize("family, n, q", [("het", 3, 4), ("full", 3, 8)])
@@ -789,7 +771,7 @@ def test_exhaustive_closure_without_fingerprints_judges_the_same_classes(monkeyp
         judged = []
         monkeypatch.setattr(oracle, "_closure_on_range", lambda f, at, acc, res, tol: (
             judged.append(len(at)) or real(f, at, acc, res, tol)))
-        res = closure_check(family, n, q, mode="exhaustive", tol=1e-12, workers=1)
+        res = closure_check(family, n, q, mode="exhaustive", tol=1e-12)
         return res, judged
 
     want, judged = sweep()
@@ -910,8 +892,8 @@ def test_every_last_tables_are_built_once_per_shift(monkeypatch, family, n, q):
 
 
 def test_every_last_tables_are_built_once_under_threads(monkeypatch):
-    # sweep workers share one kernel: four threads, more than the cores
-    # here, racing for the first every_last call must build the table once
+    # caller threads may share one cached kernel: four threads, more than
+    # two cores, racing for the first every_last call must build the table once
     builds = []
     real = phases._last_factor_tables
     monkeypatch.setattr(phases, "_last_factor_tables",

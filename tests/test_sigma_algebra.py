@@ -274,16 +274,18 @@ def test_alternating_rule_formal_sums():
             assert_close(got.dense(arity=3), dense, 0.0)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_elementary_product_beyond_ternary(n, rng):
-    # every tuple of 1 or 2 factors; of n factors, chaining tuples from each
-    # start and random tuples, which mostly do not chain.  A product of c
-    # cyclic-shift matrices shifts by c blocks, the result's dense form by
-    # one, so it is rolled c-1 block columns on (a full turn when c is n)
+    # every tuple of 1 factor; of n factors, chaining tuples from each start
+    # and random tuples, which mostly do not chain.  A product of c cyclic-
+    # shift matrices shifts by c blocks, so only counts l*(n-1)+1 give a
+    # shift by one, as the result does; a count of 2 is refused
     m = n - 1
     units = [ElementarySigma(n, j, k) for j in range(4) for k in range(1, n)]
-    for count in (1, 2, n):
-        tuples = (list(product(units, repeat=count)) if count <= 2 else
+    with pytest.raises(ArityError):
+        elementary_product(units[:2])
+    for count in (1, n):
+        tuples = ([[u] for u in units] if count == 1 else
                   [[ElementarySigma(n, int(j), (k + t) % m + 1) for t, j in enumerate(js)]
                    for k in range(m) for js in rng.integers(4, size=(64, count))]
                   + [[units[i] for i in rng.integers(len(units), size=count)]
@@ -291,7 +293,7 @@ def test_elementary_product_beyond_ternary(n, rng):
         for factors in tuples:
             got = elementary_product(factors)
             want = functools.reduce(np.matmul, [f.dense() for f in factors])
-            assert_close(np.roll(got.dense(arity=n), 2 * (count - 1), axis=1), want, 0.0)
+            assert_close(got.dense(arity=n), want, 0.0)
 
 
 def test_ternary_full_product_examples():
