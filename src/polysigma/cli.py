@@ -54,27 +54,43 @@ def _cayley_chunks(fam):
 
 
 def _write_csv(fh, fam, tokens, fields) -> None:
-    """The table as CSV, one block of prefixes at a time.  No token or field
-    needs CSV quoting, so a row is its cells joined by "," and ended by
-    "\r\n", as csv.writer writes it: a prefix's head, a last label's head
-    and the result's tail.  A block is a (prefixes, order, 3) object array
-    of these cells, written with one join; every label's head sits in its
-    middle column from the start."""
+    """The table as CSV bytes, one block of prefixes at a time.  No token or
+    field needs CSV quoting, so a row is its cells joined by "," and ended by
+    "\r\n", as csv.writer writes it: a prefix's head h, a last label's head
+    and the result's tail.  A prefix's rows are h.join(x), where x is an
+    empty cell followed by each last label's head and tail; x is fixed by
+    the prefix's result row alone.
+
+    A prefix of two or more factors has at most ``order`` distinct result
+    rows, repeated across the table, so x is built once per distinct row and
+    kept, up to ``order`` rows, with cells shared between rows: at most
+    order**2 cells.  One-factor prefixes meet each row once and keep none."""
     order = fam.order
-    heads = np.array([tok + "," for tok in tokens], dtype=object)
-    tails = np.array([",".join(f) + "\r\n" for f in fields], dtype=object)
-    block = np.empty((max(1, _CAYLEY_CHUNK // order), order, 3), dtype=object)
-    block[:, :, 1] = heads
+    heads = [tok.encode() + b"," for tok in tokens]
+    tails = [",".join(f).encode() + b"\r\n" for f in fields]
+    keep = fam.mult_len > 2
+    memo = {}
+    cells = [[None] * order for _ in range(order)] if keep else None
     fh.write(",".join([f"op{i + 1}" for i in range(fam.mult_len)]
-                      + ["result_j", "result_k", "result_r"]) + "\r\n")
+                      + ["result_j", "result_k", "result_r"]).encode() + b"\r\n")
+    block = bytearray()
     for pref, res in _cayley_chunks(fam):
-        cells = block[:len(pref)]
-        head = heads[pref[:, 0]]
-        for t in range(1, pref.shape[1]):
-            head += heads[pref[:, t]]
-        cells[:, :, 0] = head[:, None]
-        np.take(tails, res, out=cells[:, :, 2])
-        fh.write("".join(cells.ravel().tolist()))
+        for ops, row in zip(pref.tolist(), res):
+            key = row.tobytes()
+            x = memo.get(key)
+            if x is None and not keep:
+                x = [b""] + [hd + tails[r] for hd, r in zip(heads, row.tolist())]
+            elif x is None:
+                x = [b""]
+                for hd, col, r in zip(heads, cells, row.tolist()):
+                    if col[r] is None:
+                        col[r] = hd + tails[r]
+                    x.append(col[r])
+                if len(memo) < order:
+                    memo[key] = x
+            block += b"".join([heads[i] for i in ops]).join(x)
+        fh.write(block)
+        block.clear()
 
 
 def _write_dense_json(fh, fam, tokens, fields, args) -> None:
@@ -116,7 +132,7 @@ def cmd_cayley(args) -> int:
         return 2
     as_csv = args.format == "csv"
     # opened before any work, so an unwritable path is refused at once
-    with open(args.out, "w", newline="" if as_csv else None) as fh:
+    with open(args.out, "wb" if as_csv else "w") as fh:
         fam = oracle.family_context(args.family, args.n, args.q)
         labels = [fam.label(i) for i in range(fam.order)]
         tokens = [lab.token() for lab in labels]

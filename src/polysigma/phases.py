@@ -801,6 +801,36 @@ _STRUCTURES = {
 }
 
 
+#: elements per slice of the identity, querelement and order checks, which
+#: bounds their working memory
+_ELEMENT_SLICE = 1 << 12
+
+
+def _element_checks(spec: _Structure, fam, encode: Callable, elems: np.ndarray,
+                    e_index: int | None) -> tuple[bool, bool | None, dict]:
+    """Whether the identity holds, whether the querelement (or inverse)
+    formulas agree and hold (None if the family has none), and the order
+    histogram, over ``elems`` one slice of at most _ELEMENT_SLICE at a time.
+    Each formula is applied to the slot codes of a whole slice."""
+    n, q = fam.n, fam.q
+    formulas = spec.inverses(n)
+    cap = spec.hist_cap(fam.order, q)
+    ident_ok, quer_ok = True, (True if formulas else None)
+    hist = np.zeros(cap + 1, dtype=np.int64)
+    for start, stop in _chunk_ranges(len(elems), _ELEMENT_SLICE):
+        part = elems[start:stop]
+        if e_index is not None:
+            ident_ok = ident_ok and bool(_identity_holds(fam, e_index, part).all())
+        if formulas:
+            invs = [encode(f(fam.slots[:, part], n, q)) for f in formulas]
+            target = e_index if spec.binary else part
+            quer_ok = (quer_ok and all(np.array_equal(invs[0], v) for v in invs[1:])
+                       and bool(_inverse_holds(fam, part, invs[0], target).all()))
+        hist += np.bincount(_element_orders(fam, part, cap), minlength=cap + 1)
+    return ident_ok, quer_ok, {str(o) if o else "none": c
+                               for o, c in enumerate(hist.tolist()) if c}
+
+
 def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
                      mode: str, closure_budget: int, closure_samples: int,
                      assoc_samples: int, assoc_budget: int = 0,
@@ -808,8 +838,7 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
                      quer_samples: int = 0) -> StructureReport:
     """Closure and associativity from the oracle; identity, inverse or
     querelement rules and element orders as batched products of label
-    indices on the family's slot-table kernel, with each inverse or
-    querelement formula applied once to the slot codes of every element."""
+    indices on the family's slot-table kernel (``_element_checks``)."""
     from . import oracle
 
     spec = _STRUCTURES[family]
@@ -838,23 +867,15 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
 
     e = None if spec.identity is None else spec.identity(n, q)
     e_index = None if e is None else int(encode(np.array(e.slots())))
-    ident_ok = e is None or bool(_identity_holds(fam, e_index, elems).all())
-    quer_ok, quer_checked = None, 0
-    formulas = spec.inverses(n)
-    if formulas:
-        codes = fam.slots[:, elems]
-        invs = [encode(f(codes, n, q)) for f in formulas]
-        target = e_index if spec.binary else elems
-        quer_ok = (all(np.array_equal(invs[0], v) for v in invs[1:])
-                   and bool(_inverse_holds(fam, elems, invs[0], target).all()))
+    ident_ok, quer_ok, histogram = _element_checks(spec, fam, encode, elems, e_index)
+    quer_checked = 0
+    if quer_ok is not None:
         quer_checked = len(elems) * (1 if spec.binary else n)
         dev = (spec.dense_check(oracle, n, q, fam.order, sampled)
                if spec.dense_check else None)
         if dev is not None:
             quer_ok = quer_ok and dev <= tol
 
-    orders, counts = np.unique(
-        _element_orders(fam, elems, spec.hist_cap(fam.order, q)), return_counts=True)
     claimed = spec.claimed_order(n, q)
     return StructureReport(
         family=family, n=n, q=q, order=fam.order, paper_claimed_order=claimed,
@@ -866,8 +887,7 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
         assoc=assoc.passed, assoc_exhaustive=assoc.exhaustive,
         assoc_samples=assoc.checked,
         querelement=quer_ok, querelement_checked=quer_checked,
-        order_histogram={str(o) if o else "none": c
-                         for o, c in zip(orders.tolist(), counts.tolist())},
+        order_histogram=histogram,
         sampled=sampled, seed=seed, tolerance=tol,
     )
 

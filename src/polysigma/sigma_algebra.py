@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ArityError, DomainError, ValidationError
 from .matrices import BlockCyclicMatrix, check_factor_count, sigma
 # levi_civita and mul_sigma_indices live in phases, and are public here too
 from .phases import (ElementaryLabel, FullLabel, ZeroLabel, _product, full_nary_mul,  # noqa: F401
@@ -289,8 +289,10 @@ def elementary_product(factors: Sequence[ElementarySigma]) -> SignedElementary:
     step after the previous); the result sits at the first factor's position
     with the reduced sigma word as its index.  c factors shift by c blocks,
     so a result shifts by one only for c = l*(n-1)+1: other counts but 1
-    raise ArityError.
+    raise ArityError, and so does an empty product.
     """
+    if not factors:
+        raise ArityError("an elementary product takes at least one factor, got 0")
     arity = factors[0].arity
     for f in factors:
         if f.arity != arity:

@@ -564,6 +564,52 @@ def test_element_order_cap_exhaustion_is_an_error(monkeypatch):
         build_full_group(3, 4)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_pauli_group(8), lambda: build_elementary_semigroup(3, 4),
+    lambda: build_full_group(3, 8), lambda: build_het_group(3, 4),
+], ids=["pauli-q8", "elementary-n3-q4", "full-n3-q8", "het-n3-q4"])
+def test_element_slices_keep_the_report(monkeypatch, build):
+    # 7 divides none of the 32, 33, 32 and 256 elements, so each family
+    # ends on a short slice
+    want = build().to_dict()
+    monkeypatch.setattr(phases, "_ELEMENT_SLICE", 7)
+    assert build().to_dict() == want
+
+
+def test_element_slices_each_judge_their_querelements(monkeypatch):
+    # a querelement formula wrong only for the last element, which sits in
+    # the last of the short slices
+    last = family_context("full", 3, 8).slots[:, -1:]
+
+    def wrong_at_last(codes, n, q):
+        out = phases._full_querelement(codes, n, q)
+        return np.where((codes == last).all(axis=0), codes, out)
+
+    monkeypatch.setattr(phases, "_ELEMENT_SLICE", 7)
+    assert build_full_group(3, 8).querelement is True
+    spec = dataclasses.replace(phases._STRUCTURES["full"],
+                               inverses=lambda n: (wrong_at_last,))
+    monkeypatch.setitem(phases._STRUCTURES, "full", spec)
+    report = build_full_group(3, 8)
+    assert report.querelement is False and not report.passed
+
+
+def test_element_checks_hold_one_slice():
+    # identity, querelement and order checks run over slices of 4,096
+    # elements: over all 32,768 of het (4, 8) at once, each check peaked at
+    # 5.2-6.3 MB traced; one slice at a time, the whole stage takes 0.8 MB
+    fam = family_context("het", 4, 8)
+    spec = phases._STRUCTURES["het"]
+    encode = phases._slot_index("het", 8, len(fam.slots))
+    e_index = int(encode(np.array(phases.het_identity(4, 8).slots())))
+    elems = np.arange(fam.order)
+    (ident_ok, quer_ok, hist), peak = traced_peak(
+        lambda: phases._element_checks(spec, fam, encode, elems, e_index))
+    assert ident_ok and quer_ok
+    assert hist == {"1": 1024, "2": 7168, "4": 8192, "8": 16384}
+    assert peak <= 2 ** 20
+
+
 def test_structure_report_json_schema():
     r = build_full_group(3, 4)
     d = r.to_dict()

@@ -296,6 +296,12 @@ def test_elementary_product_beyond_ternary(n, rng):
             assert_close(got.dense(arity=n), want, 0.0)
 
 
+def test_elementary_product_of_no_factors_is_refused():
+    # there is no first factor to take the arity from, and no empty product
+    with pytest.raises(ArityError, match="at least one factor, got 0"):
+        elementary_product([])
+
+
 def test_ternary_full_product_examples():
     r = ternary_full_product(FullSigma(3, 1), FullSigma(3, 2), FullSigma(3, 0))
     assert (r.element.j, r.quarter) == (3, 1)
