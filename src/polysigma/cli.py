@@ -124,12 +124,8 @@ def cmd_cayley(args) -> int:
     n, order = phases.family_size(args.family, args.n, args.q)  # refuses n < 2
     rows = order ** n
     if rows > args.budget:
-        print(
-            f"error: {rows} table rows exceed the budget of {args.budget}; "
-            f"raise --budget to proceed",
-            file=sys.stderr,
-        )
-        return 2
+        raise BudgetExceededError(f"{oracle.power_text(order, n)} table rows exceed the "
+                                  f"budget of {args.budget}; raise --budget to proceed")
     as_csv = args.format == "csv"
     # opened before any work, so an unwritable path is refused at once
     with open(args.out, "wb" if as_csv else "w") as fh:
@@ -152,14 +148,12 @@ def cmd_cayley(args) -> int:
 def cmd_verify(args) -> int:
     kwargs = dict(seed=args.seed, tol=args.tol, mode=args.mode)
     if args.family == "pauli":
-        report = phases.build_pauli_group(
-            args.q, closure_budget=args.budget, **kwargs)
+        report = phases.build_pauli_group(args.q, closure_budget=args.budget, **kwargs)
     elif args.family == "elementary":
         report = phases.build_elementary_semigroup(
             args.n, args.q, closure_budget=args.budget, **kwargs)
     elif args.family == "full":
-        report = phases.build_full_group(
-            args.n, args.q, closure_budget=args.budget, **kwargs)
+        report = phases.build_full_group(args.n, args.q, closure_budget=args.budget, **kwargs)
     else:
         report = phases.build_het_group(args.n, args.q, cap=args.budget, **kwargs)
     text = report.to_json()
@@ -187,10 +181,6 @@ def cmd_verify(args) -> int:
 # param-mul
 
 
-def _random_tuple(rng: np.random.Generator, n: int) -> list[su2.PolyadicSU2Element]:
-    return [su2.PolyadicSU2Element.random(rng, n) for _ in range(n)]
-
-
 def _param_mul_one(elems: list[su2.PolyadicSU2Element], n: int):
     if n == 2:
         p, q = elems[0].params[0], elems[1].params[0]
@@ -198,7 +188,7 @@ def _param_mul_one(elems: list[su2.PolyadicSU2Element], n: int):
         dense = su2.binary_su2_matrix(p) @ su2.binary_su2_matrix(q)
         dev = float(np.abs(dense - su2.binary_su2_matrix(result)).max())
         out = su2.PolyadicSU2Element(2, (result,))
-    elif n == 3:
+    else:  # n == 3, the only other --n
         pairs = [tuple(e.params) for e in elems]
         result = su2.ternary_param_mul(*pairs)
         out = su2.PolyadicSU2Element(3, result)
@@ -206,8 +196,6 @@ def _param_mul_one(elems: list[su2.PolyadicSU2Element], n: int):
         for e in elems[1:]:
             dense = dense @ e.matrix().dense()
         dev = float(np.abs(dense - out.matrix().dense()).max())
-    else:
-        raise DomainError(f"closed-form parameter products exist for n=2 and n=3, got {n}")
     return out, dev
 
 
@@ -216,12 +204,13 @@ def cmd_param_mul(args) -> int:
     n = args.n
     if args.random is not None:
         rng = np.random.default_rng(args.seed)
-        tuples = [_random_tuple(rng, n) for _ in range(args.random)]
+        tuples = [[su2.PolyadicSU2Element.random(rng, n) for _ in range(n)]
+                  for _ in range(args.random)]
     else:
         data = _read_json(args.infile)
         if not isinstance(data, dict):
             raise DomainError(f"input must be a JSON object, got {type(data).__name__}")
-        if data.get("arity") != n:
+        if not su2.is_json_int(data.get("arity")) or data["arity"] != n:
             raise DomainError(f"input arity {data.get('arity')} != --n {n}")
         raw = data.get("tuples")
         if not (isinstance(raw, list)
@@ -258,31 +247,22 @@ def cmd_param_mul(args) -> int:
 
 
 def _read_json(path: str):
-    """The JSON value in the file at ``path``.  One nested too deeply for the
-    parser's recursion is malformed input, not a crash."""
+    """The JSON value in the file at ``path``.  A file that is not UTF-8 or
+    not JSON, or one nested too deeply for the parser, is malformed input."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except RecursionError:
-            raise DomainError("malformed input (JSON nested too deeply)") from None
+        except (ValueError, RecursionError) as exc:
+            raise DomainError(f"malformed input ({exc})") from None
 
 
-def _relaxed_element(data: dict) -> BlockCyclicMatrix:
+def _relaxed_element(data) -> BlockCyclicMatrix:
     """Cyclic block matrix from {"arity", "blocks"} without the unit-norm
     check, so identity-coefficient elements are accepted."""
-    arity = data["arity"]
-    if not su2.is_json_int(arity):
-        raise DomainError(f"arity must be an integer, got {arity!r}")
-    blocks = []
-    for b in data["blocks"]:
-        coeffs = [b["x0"], *b["x"]]
-        if len(coeffs) != 4 or not all(su2.is_json_real(v) for v in coeffs):
-            raise DomainError(f"a block needs a finite x0 and three finite x, got {b!r}")
-        x0, x1, x2, x3 = (float(v) for v in coeffs)
-        blocks.append(
-            x0 * sigma(0) + 1j * (x1 * sigma(1) + x2 * sigma(2) + x3 * sigma(3))
-        )
-    return BlockCyclicMatrix(arity, tuple(blocks))
+    arity, coeffs = su2.parse_element(data)
+    return BlockCyclicMatrix(arity, tuple(
+        x0 * sigma(0) + 1j * (x1 * sigma(1) + x2 * sigma(2) + x3 * sigma(3))
+        for x0, x1, x2, x3 in coeffs))
 
 
 def cmd_trace(args) -> int:
@@ -399,20 +379,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (BudgetExceededError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        if exc.filename is None:
-            print(f"error: {exc.strerror or exc}", file=sys.stderr)
-        else:
-            print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: malformed input ({exc})", file=sys.stderr)
+        where = "" if exc.filename is None else f"cannot open {exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

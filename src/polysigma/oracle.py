@@ -409,6 +409,14 @@ _SAMPLE_SLICE_BYTES = 1 << 20
 _TALL_MNK = 1 << 15
 
 
+def power_text(base: int, exp: int) -> str:
+    """base**exp in decimal, or "base^exp" when Python will not write it."""
+    try:
+        return str(base ** exp)
+    except ValueError:
+        return f"{base}^{exp}"
+
+
 def gate(kind: str, order: int, mult_len: int, *, mode: str, budget: int,
          tol: float = DEFAULT_TOL) -> tuple[int, int, bool]:
     """The gate of every closure and associativity check over a family of
@@ -426,10 +434,9 @@ def gate(kind: str, order: int, mult_len: int, *, mode: str, budget: int,
     total = order ** tuple_len
     exhaustive = mode == "exhaustive" or (mode == "auto" and total <= budget)
     if exhaustive and total > budget:
-        raise BudgetExceededError(
-            f"{total} products exceed the budget of {budget}; switch to sampling"
-            if closure else f"{total} bracketing tuples exceed the budget of {budget}"
-        )
+        raise BudgetExceededError(f"{power_text(order, tuple_len)} " + (
+            f"products exceed the budget of {budget}; switch to sampling" if closure
+            else f"bracketing tuples exceed the budget of {budget}"))
     return tuple_len, total, exhaustive
 
 
@@ -443,7 +450,7 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     closure = kind == "closure"
     if not exhaustive:
         sample = _sampled_tuples(fam.order, tuple_len, samples, seed)
-        rows = (min(_SAMPLE_SLICE, _SAMPLE_SLICE_BYTES // (16 * fam.d ** 2))
+        rows = (max(1, min(_SAMPLE_SLICE, _SAMPLE_SLICE_BYTES // (16 * fam.d ** 2)))
                 if closure else _SAMPLE_SLICE)
         total, jobs = samples, phases._chunk_ranges(samples, rows)
         if closure:  # layouts, products, deviations, reused from slice to slice

@@ -11,6 +11,7 @@ trace/determinant laws for the cyclic-shift form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,8 +32,29 @@ def is_json_int(v) -> bool:
 
 
 def is_json_real(v) -> bool:
-    """A finite number read from JSON, bools excluded."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A number read from JSON that is a finite float, bools excluded."""
+    return (isinstance(v, float) and math.isfinite(v)
+            or is_json_int(v) and abs(v) <= sys.float_info.max)
+
+
+def parse_element(d) -> tuple[int, list[tuple[float, float, float, float]]]:
+    """The arity and each block's (x0, x1, x2, x3) of an element read from
+    JSON, {"arity": int, "blocks": [{"x0": real, "x": [real, real, real]}]}
+    with finite reals; DomainError on any other shape.  Counts and norms are
+    left to the caller."""
+    if not (isinstance(d, dict) and isinstance(d.get("blocks"), list)):
+        raise DomainError(f"an element must be an object with a list of blocks, got {d!r}")
+    if not is_json_int(d.get("arity")):
+        raise DomainError(f"arity must be an integer, got {d.get('arity')!r}")
+    return d["arity"], [_parse_block(b) for b in d["blocks"]]
+
+
+def _parse_block(b) -> tuple[float, float, float, float]:
+    """(x0, x1, x2, x3) of one block of ``parse_element``."""
+    if not (isinstance(b, dict) and isinstance(b.get("x"), list) and len(b["x"]) == 3
+            and all(is_json_real(v) for v in (b.get("x0"), *b["x"]))):
+        raise DomainError(f"a block needs a finite x0 and three finite x, got {b!r}")
+    return (float(b["x0"]), *map(float, b["x"]))
 
 
 @dataclass(frozen=True)
@@ -74,10 +96,8 @@ class SU2Params:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SU2Params":
-        coeffs = [d["x0"], *d["x"]]
-        if not all(is_json_real(v) for v in coeffs):
-            raise DomainError(f"parameters must be finite numbers, got {d!r}")
-        return cls(coeffs[0], tuple(coeffs[1:]))
+        x0, *x = _parse_block(d)
+        return cls(x0, tuple(x))
 
 
 def binary_su2_matrix(p: SU2Params) -> np.ndarray:
@@ -126,9 +146,8 @@ class PolyadicSU2Element:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PolyadicSU2Element":
-        if not is_json_int(d["arity"]):
-            raise DomainError(f"arity must be an integer, got {d['arity']!r}")
-        return cls(d["arity"], tuple(SU2Params.from_dict(b) for b in d["blocks"]))
+        arity, coeffs = parse_element(d)
+        return cls(arity, tuple(SU2Params(x0, tuple(x)) for x0, *x in coeffs))
 
     @classmethod
     def random(cls, rng: np.random.Generator, arity: int) -> "PolyadicSU2Element":

@@ -9,11 +9,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysigma import cli, oracle, phases
 from polysigma.cli import _result_fields, main
@@ -192,6 +196,21 @@ def test_verify_refuses_either_budget_before_any_sweep(monkeypatch, capsys, tmp_
     assert code == 2
     assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["verify", "--family", "full", "--n", "5000", "--q", "4", "--mode", "exhaustive"],
+     "error: 16^5000 products exceed the budget of 30000000; switch to sampling"),
+    (["cayley", "--family", "full", "--n", "4000", "--q", "4"],
+     "error: 16^4000 table rows exceed the budget of 1000000; raise --budget to proceed"),
+], ids=["verify-exhaustive", "cayley"])
+def test_count_too_long_to_write_is_refused_as_a_power(capsys, tmp_path, command, message):
+    # 16^5000 and 16^4000 have more digits than Python writes in decimal;
+    # formatting them used to escape main as a ValueError
+    out = tmp_path / "out"
+    assert run([*command, "--out", out]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
 
 
 def test_sampled_verify_builds_no_last_factor_table(monkeypatch, tmp_path):
@@ -594,6 +613,7 @@ def test_trace_malformed(tmp_path):
     (4, {"x0": 1.0, "x": [0.0, 0.0, 0.0]}),       # 2 blocks for arity 4
     (True, {"x0": 1.0, "x": [0.0, 0.0, 0.0]}),    # bool arity
     (3, {"x0": True, "x": [0.0, 0.0, 0.0]}),      # bool x0
+    (3, {"x0": 10 ** 400, "x": [0.0, 0.0, 0.0]}),  # x0 too large for a float
 ])
 def test_trace_malformed_element_is_input_error(tmp_path, arity, block):
     bad = tmp_path / "bad.json"
@@ -625,6 +645,106 @@ def test_trace_that_overflows_is_refused(tmp_path, capsys, arity):
         assert run(["trace", "--in", infile, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: the trace is not finite")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# input files
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff\xfe{",
+    b'{"arity": 1' + b"0" * 5000 + b', "blocks": []}',
+], ids=["not-utf8", "arity-of-5000-digits"])
+@pytest.mark.parametrize("command", [["trace"], ["param-mul", "--n", "3"]],
+                         ids=["trace", "param-mul"])
+def test_undecodable_file_is_malformed_input(tmp_path, capsys, command, text):
+    # each used to escape main as a UnicodeDecodeError or a ValueError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert run([*command, "--in", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed input (") and err.count("\n") == 1
+
+
+def _valid_files(n):
+    """An element file of arity ``n`` and a tuple file of ``n`` such elements."""
+    element = {"arity": n, "blocks": [{"x0": 0.6, "x": [0.0, 0.8, 0.0]}] * (n - 1)}
+    return element, {"arity": n, "tuples": [[element] * n]}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8)
+#: JSON texts put in place of a value, among them the NaN and Infinity
+#: literals that JSON does not define and an integer too long for Python to read
+_RAW = st.sampled_from(["true", "null", '"3"', "[]", "{}", "2.0", "-0.0", "1e308", "1e400",
+                        "1" + "0" * 400, "NaN", "Infinity", "-Infinity", "9" * 5000])
+_HOLE = "\0hole"
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` as JSON text with one value dropped, repeated or replaced."""
+    doc = json.loads(json.dumps(doc))  # a copy that shares no node
+    spots = []
+
+    def walk(node):
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            spots.append((node, key))
+            walk(child)
+
+    walk(doc)
+    node, key = draw(st.sampled_from(spots))
+    how = draw(st.sampled_from(["drop", "repeat", "replace"]))
+    if how == "drop":
+        del node[key]
+    elif how == "repeat" and isinstance(node, list):
+        node.append(node[key])
+    else:
+        node[key] = _HOLE
+        return json.dumps(doc).replace(json.dumps(_HOLE), draw(_RAW | _JSON.map(json.dumps)))
+    return json.dumps(doc)
+
+
+#: an arity and the bytes of a tuple or element file of that arity, as is
+#: or mutated once, of any JSON value, or of bytes that are mostly not UTF-8
+_INPUT_FILES = st.one_of([st.tuples(st.just(n), st.one_of(
+    st.sampled_from(_valid_files(n)).map(json.dumps),
+    *map(_mutated, _valid_files(n)),
+    _JSON.map(json.dumps),
+).map(str.encode) | st.binary(max_size=12)) for n in (2, 3)])
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in an output file")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_INPUT_FILES)
+def test_input_files_keep_the_exit_code_contract(case):
+    # whatever the file holds, trace and param-mul exit 0, 1 or 2 with no
+    # traceback; a refusal is one error line and writes nothing, and what is
+    # written is strict JSON
+    n, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        infile, out = Path(tmp, "in.json"), Path(tmp, "out.json")
+        infile.write_bytes(text)
+        for command in (["trace"], ["param-mul", "--n", str(n)]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = exit_code([*command, "--in", infile, "--out", out])
+            err = err.getvalue()
+            assert code in (0, 1, 2) and "Traceback" not in err
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert not out.exists()
+            else:
+                json.loads(out.read_text(), parse_constant=_refuse_constant)
+                out.unlink()
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,15 @@ def test_sampled_check_slices_match_one_chunk(monkeypatch, check):
         assert whole.max_abs_deviation > 0
 
 
+def test_sampled_closure_slice_holds_at_least_one_row(monkeypatch):
+    # one dense stack of full n >= 130 exceeds the slice bytes; the slice
+    # is one row, not an empty range step.  One d = 4 stack is 256 bytes.
+    whole = closure_check("full", 3, 4, mode="sample", samples=200, seed=5)
+    monkeypatch.setattr(oracle, "_SAMPLE_SLICE_BYTES", 255)
+    assert closure_check("full", 3, 4, mode="sample", samples=200, seed=5) == whole
+    assert whole.passed and whole.checked == 200
+
+
 def test_sampled_closure_slices_hold_little_besides_the_context():
     # closure slices are bounded by the bytes of one slice's dense stack, so
     # the 100,000 seeded het (4, 8) tuples (1.6 MB) and a few 1 MB buffers
