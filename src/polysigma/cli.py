@@ -268,7 +268,10 @@ def _relaxed_element(data) -> BlockCyclicMatrix:
 def cmd_trace(args) -> int:
     mat = _relaxed_element(_read_json(args.infile))
     with np.errstate(over="ignore", invalid="ignore"):
-        ordinary = complex(np.trace(mat.dense()))
+        # the ordinary trace, read from the blocks: the dense form's diagonal
+        # is the one block's at arity 2, and zero beyond it, where every
+        # block sits off the diagonal
+        ordinary = complex(np.trace(mat.blocks[0])) if mat.arity == 2 else 0j
         poly = su2.polyadic_trace(mat)
     # JSON has no infinity or NaN, so a trace that overflows is refused
     if not all(map(math.isfinite, (ordinary.real, ordinary.imag, poly.real, poly.imag))):

@@ -241,14 +241,18 @@ class _ClassTable:
     """The exhaustive closure's sweep-wide table of prefix classes, each a
     distinct pair of (product words, label results).  The first class met
     with a fingerprint keeps its pair in two arrays that grow in place, one
-    row per class; a prefix with that fingerprint is its member when both
-    compare equal, in one vectorised compare per chunk.  A prefix that
-    fails the compare is looked up by its pair's bytes among the classes
-    that are not first with their fingerprint, which are kept only as such
-    keys."""
+    row per class, and its fingerprint in a sorted key array beside its
+    class number.  A chunk's fingerprints find their classes by one
+    ``searchsorted``, those new to the table are numbered by one
+    ``np.unique``, and a prefix is its class's member when both halves of
+    the pair compare equal, in one compare of the whole chunk.  A prefix
+    that fails the compare is looked up by its pair's bytes among the
+    classes that are not first with their fingerprint, which are kept only
+    as such keys."""
 
     def __init__(self):
-        self.first: dict[int, int] = {}   # fingerprint -> its first class
+        self.keys = np.empty(0, np.uint64)  # sorted fingerprints of the first classes
+        self.ids = np.empty(0, np.intp)     # each key's class, a row of words and rows
         self.others: set[bytes] = set()
         self.words = self.rows = self.scratch = None
 
@@ -256,37 +260,52 @@ class _ClassTable:
         """Chunk-local indices, in order, of the prefixes whose (``words``,
         ``rows``) pair is new to the sweep, each the first of its class; the
         table then holds their classes."""
-        p, known, first = len(words), len(self.first), self.first
+        p, known = len(words), len(self.keys)
         if self.scratch is None:  # every chunk but the last is as long as the first
             self.words = np.empty((0, words.shape[1]), np.uint64)
             self.rows = np.empty((0, rows.shape[1]), rows.dtype)
             self.scratch = (np.empty(words.shape, np.uint64), np.empty(words.shape, bool),
                             np.empty(rows.shape, rows.dtype), np.empty(rows.shape, bool))
         wbuf, wsame, rbuf, rsame = (b[:p] for b in self.scratch)
-        ids = np.array([first.setdefault(f, len(first))
-                        for f in _fingerprint(words, wbuf).tolist()])
-        judge = np.zeros(p, dtype=bool)
-        if len(first) > known:
-            fresh = np.flatnonzero(ids >= known)
-            # new classes are numbered in the order their fingerprints are
-            # first met, so the first prefix of each raises the running max
-            top = np.maximum.accumulate(ids[fresh])
-            fresh = fresh[np.diff(top, prepend=known - 1) > 0]
-            if len(first) > len(self.words):
+        prints = _fingerprint(words, wbuf)
+        at = np.searchsorted(self.keys, prints)
+        if known:
+            ids = self.ids.take(at, mode="clip")
+            miss = np.flatnonzero(self.keys.take(at, mode="clip") != prints)
+        else:
+            ids, miss = np.empty(p, np.intp), np.arange(p)
+        fresh = miss[:0]
+        if len(miss):
+            # the fingerprints new to the table, each once; their classes are
+            # numbered in the order the fingerprints are first met
+            new, first, inverse = np.unique(prints[miss], return_index=True,
+                                            return_inverse=True)
+            cls = np.empty(len(new), np.intp)
+            cls[np.argsort(first)] = np.arange(known, known + len(new))
+            ids[miss] = cls[inverse]
+            fresh = miss[np.sort(first)]
+            # new is sorted, so inserting it keeps the keys sorted
+            self.keys = np.insert(self.keys, at[miss[first]], new)
+            self.ids = np.insert(self.ids, at[miss[first]], cls)
+            if len(self.keys) > len(self.words):
                 # in place, by realloc, with 1/16 to spare; refcheck would
                 # refuse under a profiler, and no view of either array
                 # outlives a statement of this method
-                grown = len(first) + len(first) // 16
+                grown = len(self.keys) + len(self.keys) // 16
                 self.words.resize((grown, words.shape[1]), refcheck=False)
                 self.rows.resize((grown, rows.shape[1]), refcheck=False)
-            self.words[known:len(first)] = words[fresh]
-            self.rows[known:len(first)] = rows[fresh]
-            judge[fresh] = True
+            self.words[known:len(self.keys)] = words[fresh]
+            self.rows[known:len(self.keys)] = rows[fresh]
+        # the gathers never clip: ids holds class rows
         np.take(self.words, ids, axis=0, out=wbuf, mode="clip")
         np.take(self.rows, ids, axis=0, out=rbuf, mode="clip")
-        same = np.equal(wbuf, words, out=wsame).all(axis=1)
-        same &= np.equal(rbuf, rows, out=rsame).all(axis=1)
-        for i in np.flatnonzero(~same).tolist():
+        np.equal(wbuf, words, out=wsame)
+        np.equal(rbuf, rows, out=rsame)
+        if wsame.all() and rsame.all():
+            return fresh
+        judge = np.zeros(p, dtype=bool)
+        judge[fresh] = True
+        for i in np.flatnonzero(~(wsame.all(axis=1) & rsame.all(axis=1))).tolist():
             key = words[i].tobytes() + rows[i].tobytes()
             if key not in self.others:
                 self.others.add(key)
@@ -296,17 +315,19 @@ class _ClassTable:
 
 def _closure_claims(fam: _Family, tuple_len: int, chunks):
     """The exhaustive closure's chunks in flat row-major order, each with the
-    prefixes it judges; start and stop are multiples of the label count, so
+    prefixes it claims; start and stop are multiples of the label count, so
     a chunk is whole runs that each share their leading tuple_len-1 factors.
     Every prefix's literal product is computed by a batched left fold, and
     its label results with every last label by the kernel, in buffers
     reused from chunk to chunk.  With three or more factors a prefix is
-    judged only when its (product bits, label results) pair is new to the
+    claimed only when its (product bits, label results) pair is new to the
     sweep: the pairs are claimed here, in chunk order, in a ``_ClassTable``
     that finds most prefixes' classes by a 64-bit fingerprint of the product
     and confirms each by a full compare of the pair.  With two factors every
-    prefix is judged.  Yields (chunk, chunk-local indices, products, label
-    results) of the prefixes to judge, copied out of the buffers."""
+    prefix is claimed.  Yields (the chunk's first prefix, chunk-local
+    indices of the claimed prefixes, every prefix's product, every prefix's
+    label results); the two stacks are the buffers, valid until the next
+    chunk."""
     order, stack = fam.order, fam.dense_stack
     table = _ClassTable() if tuple_len > 2 else None
     prods = out = None
@@ -329,43 +350,127 @@ def _closure_claims(fam: _Family, tuple_len: int, chunks):
             at = np.arange(p)
         else:
             at = table.claim(acc.reshape(p, -1).view(np.uint64), res)
-        yield (start, stop), at, acc[at], res[at]
+        yield start // order, at, acc, res
 
 
 def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
-                      res: np.ndarray, tol: float) -> tuple[float, int | None]:
-    """Judge the P prefixes at chunk-local indices ``at``, with products
-    ``acc`` and label results ``res`` (``_closure_claims``), against every
-    last label.  This is what "exhaustive" means for a closure: every
-    prefix's literal product is computed, and each distinct (product, label
-    results) pair is judged against every last label once; each tuple's
-    judged product is still its prefix's literal product times the last
-    label's dense matrix, as equal input bits give equal product bits, and
-    label arithmetic supplies only the expected matrices.  The products,
-    stacked to (P*d, d), are multiplied by one last label's matrix at a time
-    as one tall product, and that label's P products are judged against
-    their label results at once, in buffers reused from label to label.
-    Every label is judged, so the worst deviation is the prefixes'; the
-    first bad tuple in row-major order, as an offset into the chunk, is the
-    least bad at*order + last over all labels."""
-    if not len(at):
-        return 0.0, None
-    order, d = fam.order, fam.d
+                      res: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Judge the P classes whose first prefixes are rows ``at`` of the
+    sweep, with products ``acc`` and label results ``res``
+    (``_JudgingQueue``), against every last label.  This is what
+    "exhaustive" means for a closure: every prefix's literal product is
+    computed, and each distinct (product, label results) pair is judged
+    against every last label once; each tuple's judged product is still its
+    prefix's literal product times the last label's dense matrix, as equal
+    input bits give equal product bits, and label arithmetic supplies only
+    the expected matrices.  The products, stacked to (P*d, d), are
+    multiplied by one last label's matrix at a time as one tall product,
+    and that label's P products are judged against their label results at
+    once, in buffers reused from label to label.  Each class keeps its
+    worst deviation over every label; only when one fails are the same
+    products formed again, for the first last label each failing class
+    fails with, as equal inputs give equal bits.  Returns each class's
+    worst deviation over every label and its first bad tuple in row-major
+    order, at*order + the first last label it fails with, or -1 where it
+    fails with none."""
+    order, d, stack = fam.order, fam.d, fam.dense_stack
     tall = acc.reshape(-1, d)
-    prod, dev = np.empty_like(acc), np.empty(acc.shape)
-    worsts = np.empty(order)
-    bad = None
     # take converts a column of narrow results to intp on every call, so
     # convert them once, to one contiguous row per last label
     results = np.ascontiguousarray(res.T, dtype=np.intp)
-    for last in range(order):
-        np.matmul(tall, fam.dense_stack[last], out=prod.reshape(tall.shape))
-        expected = fam.dense_stack.take(results[last], axis=0)
-        worsts[last], mask = _deviation(prod, expected, tol, dev)
-        if mask is not None:
-            row = int(at[np.argmax(mask)]) * order + last
-            bad = row if bad is None else min(bad, row)
-    return float(worsts.max()), bad
+
+    def deviations():
+        """Each last label, with the entrywise deviations of its P tuples
+        in a buffer reused from label to label."""
+        prod, dev = np.empty_like(acc), np.empty(acc.shape)
+        for last in range(order):
+            np.matmul(tall, stack[last], out=prod.reshape(tall.shape))
+            np.subtract(prod, stack.take(results[last], axis=0), out=prod)
+            yield last, np.abs(prod, out=dev)
+
+    worst = np.zeros(acc.shape)
+    for _, dev in deviations():
+        np.maximum(worst, dev, out=worst)  # a NaN stays NaN
+    worst = worst.max(axis=(1, 2))
+    lasts = np.full(len(at), -1)
+    if not (worst <= tol).all():
+        # the same products again, label by label, for the first last
+        # label each failing class fails with
+        for last, dev in deviations():
+            lasts[(lasts < 0) & ~(dev <= tol).all(axis=(1, 2))] = last
+    return worst, np.where(lasts < 0, -1, at * order + lasts)
+
+
+class _JudgingQueue:
+    """Classes claimed by the exhaustive closure and not yet judged, at
+    most ``size`` of them, in the order they were claimed: each class's
+    first prefix row, its claim chunk, its product and its label results.
+    A full queue is judged by one ``_closure_on_range`` call, and so is the
+    rest at the end.  Each class's worst deviation and first bad tuple are
+    folded into the sweep's; once a class fails, only classes claimed in
+    its chunk or before count (``stop``), so a failure's worst deviation
+    covers exactly the chunks up to its own."""
+
+    def __init__(self, fam: _Family, size: int, tol: float):
+        self.fam, self.size, self.tol, self.n = fam, size, tol, 0
+        self.rows = self.chunks = self.acc = self.res = None
+        self.worst, self.first, self.stop = 0.0, None, None
+
+    def put(self, chunk: int, start: int, at: np.ndarray, acc: np.ndarray, res: np.ndarray):
+        """Queue the classes claimed at chunk-local indices ``at`` of chunk
+        ``chunk``, whose first prefix row is ``start``, judging the queue
+        each time it fills."""
+        while len(at):
+            if not self.n:
+                self.rows, self.chunks = np.empty((2, self.size), np.intp)
+                self.acc = np.empty((self.size, *acc.shape[1:]), acc.dtype)
+                self.res = np.empty((self.size, res.shape[1]), res.dtype)
+            part, at = at[:self.size - self.n], at[self.size - self.n:]
+            to = slice(self.n, self.n + len(part))
+            self.rows[to], self.chunks[to] = start + part, chunk
+            np.take(acc, part, axis=0, out=self.acc[to], mode="clip")
+            np.take(res, part, axis=0, out=self.res[to], mode="clip")
+            self.n += len(part)
+            if self.n == self.size:
+                self.judge()
+
+    def judge(self):
+        """Judge the queued classes and empty the queue; the judged arrays
+        are handed over, and the next class queued gets new ones."""
+        n, self.n = self.n, 0
+        if not n:
+            return
+        chunks = self.chunks[:n]
+        worsts, bads = _closure_on_range(self.fam, self.rows[:n], self.acc[:n],
+                                         self.res[:n], self.tol)
+        failed = bads >= 0
+        if self.stop is None and failed.any():
+            # classes are claimed in row-major order of their first
+            # prefixes, so the first failing one holds the first bad tuple
+            i = np.argmax(failed)
+            self.first, self.stop = int(bads[i]), int(chunks[i])
+        if self.stop is not None:
+            worsts = worsts[chunks <= self.stop]
+        self.worst = float(np.maximum(self.worst, worsts.max(initial=0.0)))  # a NaN stays NaN
+
+
+def _closure_sweep(fam: _Family, tuple_len: int, total: int,
+                   tol: float) -> tuple[float, int | None]:
+    """The exhaustive closure's worst deviation and first bad tuple, or
+    None.  Prefixes are claimed in chunks of ``runs`` prefixes and their
+    classes judged in batches of up to ``batch``, both held to the tall
+    product's bound; after the first failure, claiming stops past the
+    failing chunk, and the classes claimed up to it are still judged."""
+    batch = max(1, _TALL_MNK // fam.d ** 3)
+    runs = max(1, min(_CHUNK // fam.order, batch))
+    queue = _JudgingQueue(fam, batch, tol)
+    claims = _closure_claims(fam, tuple_len, phases._chunk_ranges(total, runs * fam.order))
+    for chunk, (start, at, acc, res) in enumerate(claims):
+        if queue.stop is not None and chunk > queue.stop:
+            break
+        queue.put(chunk, start, at, acc, res)
+    queue.judge()
+    return queue.worst, queue.first
 
 
 def _assoc_on_tuples(fam: _Family, idx: np.ndarray) -> tuple[float, int | None]:
@@ -443,12 +548,18 @@ def gate(kind: str, order: int, mult_len: int, *, mode: str, budget: int,
 def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
            seed: int | None, tol: float = DEFAULT_TOL) -> CheckResult:
     """A closure or associativity check through its ``gate``: every tuple in
-    row-major chunks, or the seeded sample in slices, up to the first
-    failing tuple."""
+    row-major chunks (the closure by classes, ``_closure_sweep``), or the
+    seeded sample in slices, up to the first failing tuple."""
     tuple_len, total, exhaustive = gate(kind, fam.order, fam.mult_len,
                                         mode=mode, budget=budget, tol=tol)
     closure = kind == "closure"
-    if not exhaustive:
+    checked, worst, first, jobs = 0, 0.0, None, ()
+    if exhaustive and closure:
+        worst, first = _closure_sweep(fam, tuple_len, total, tol)
+        checked = total
+    elif exhaustive:
+        jobs = phases._chunk_ranges(total, _CHUNK)
+    else:
         sample = _sampled_tuples(fam.order, tuple_len, samples, seed)
         rows = (max(1, min(_SAMPLE_SLICE, _SAMPLE_SLICE_BYTES // (16 * fam.d ** 2)))
                 if closure else _SAMPLE_SLICE)
@@ -456,35 +567,24 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
         if closure:  # layouts, products, deviations, reused from slice to slice
             layouts = cyclic_layout((2, rows), fam.n - 1)
             bufs = layouts, np.empty_like(layouts), np.empty(layouts.shape[1:])
-    elif closure:
-        runs = max(1, min(_CHUNK // fam.order, _TALL_MNK // fam.d ** 3))
-        jobs = _closure_claims(fam, tuple_len, phases._chunk_ranges(total, runs * fam.order))
-    else:
-        jobs = phases._chunk_ranges(total, _CHUNK)
-
-    checked, worst = 0, 0.0
-    for job in jobs:
-        if exhaustive and closure:
-            (start, stop), at, acc, res = job
-            dev, bad = _closure_on_range(fam, at, acc, res, tol)
-        else:
-            start, stop = job
-            idx = (phases._build_tuples(fam.order, tuple_len, start, stop) if exhaustive
-                   else sample[start:stop])
-            dev, bad = (_closure_on_tuples(fam, idx, tol, bufs) if closure
-                        else _assoc_on_tuples(fam, idx))
+    for start, stop in jobs:
+        idx = (phases._build_tuples(fam.order, tuple_len, start, stop) if exhaustive
+               else sample[start:stop])
+        dev, bad = (_closure_on_tuples(fam, idx, tol, bufs) if closure
+                    else _assoc_on_tuples(fam, idx))
         worst = float(np.maximum(worst, dev))  # a NaN stays NaN
         if bad is not None:
             first = start + bad
-            row = (phases._build_tuples(fam.order, tuple_len, first, first + 1)[0]
-                   if exhaustive else sample[first])
-            witness = {"kind": kind,
-                       "operands": [fam.label(int(i)).token() for i in row]}
-            if closure:
-                witness["max_abs_deviation"] = worst
-            return CheckResult(False, exhaustive, first + 1, total, worst, witness)
+            break
         checked = stop
-    return CheckResult(True, exhaustive, checked, total, worst, None)
+    if first is None:
+        return CheckResult(True, exhaustive, checked, total, worst, None)
+    row = (phases._build_tuples(fam.order, tuple_len, first, first + 1)[0]
+           if exhaustive else sample[first])
+    witness = {"kind": kind, "operands": [fam.label(int(i)).token() for i in row]}
+    if closure:
+        witness["max_abs_deviation"] = worst
+    return CheckResult(False, exhaustive, first + 1, total, worst, witness)
 
 
 def closure_check(family: str, n: int, q: int, *, mode: str = "auto",

@@ -790,6 +790,102 @@ def test_exhaustive_closure_without_fingerprints_judges_the_same_classes(monkeyp
     assert want.passed and sum(judged) < family_context(family, n, q).order ** 2
 
 
+def _judged_first_prefixes(monkeypatch):
+    """Record the first prefix rows of the classes each judging call gets."""
+    judged, real = [], oracle._closure_on_range
+    monkeypatch.setattr(oracle, "_closure_on_range", lambda f, at, acc, res, tol: (
+        judged.append(at.copy()) or real(f, at, acc, res, tol)))
+    return judged
+
+
+@pytest.mark.parametrize("family, n, q", [("full", 3, 8), ("het", 3, 4), ("elementary", 3, 8)])
+def test_exhaustive_closure_with_two_bit_fingerprints_judges_the_same_prefixes(
+        monkeypatch, family, n, q):
+    # four fingerprints for the whole sweep: a chunk's prefixes mix classes
+    # found by their fingerprint with classes that share one with an
+    # earlier class and are found by their exact key; the same prefixes
+    # must be judged, and the results must be identical
+    judged = _judged_first_prefixes(monkeypatch)
+    want = closure_check(family, n, q, mode="exhaustive")
+    real, judged_real = oracle._fingerprint, np.concatenate(judged)
+    monkeypatch.setattr(oracle, "_fingerprint",
+                        lambda words, scratch: real(words, scratch) & np.uint64(3))
+    judged.clear()
+    got = closure_check(family, n, q, mode="exhaustive")
+    assert got == want and want.passed
+    assert np.array_equal(np.concatenate(judged), judged_real)
+
+
+def test_exhaustive_closure_judges_classes_in_full_batches(monkeypatch):
+    # full (3, 24): 18 claim chunks of 512 prefixes; their classes are
+    # judged 512 at a time, the tall product's bound at d = 4, so every
+    # judging call but the last gets a full batch
+    judged = _judged_first_prefixes(monkeypatch)
+    res = closure_check("full", 3, 24, mode="exhaustive")
+    sizes, batch = [len(at) for at in judged], oracle._TALL_MNK // 4 ** 3
+    assert res.passed and batch == 512
+    assert len(sizes) == -(-sum(sizes) // batch) > 1
+    assert sizes[:-1] == [batch] * (len(sizes) - 1)
+
+
+@pytest.mark.parametrize("runs, y, batches", [(257, 400, [0, 1]), (258, 700, [0, 0])],
+                         ids=["chunk-past-its-batch", "batch-past-its-chunk"])
+def test_failing_class_near_batch_ends_matches_literal_reference(monkeypatch, runs, y, batches):
+    # het (3, 4) with ``runs`` prefixes to a chunk and as many classes to a
+    # batch.  Prefixes 0..255 hold the undoctored family's 256 classes, so
+    # prefixes x and y, doctored, are the only classes after them: x's is
+    # class 256, in chunk 1, and fails first; y's is class 257 and fails
+    # with the larger deviation.  With 257, y is in chunk 1 but starts the
+    # second batch, so a sweep that reported at the end of the failing
+    # batch would miss it.  With 258, y shares the failing batch but is in
+    # chunk 2, so a sweep that counted every class of that batch would
+    # count it.  checked, the witness and the worst deviation must be those
+    # of a literal per-tuple sweep up to the end of the failing chunk
+    fam = family_context("het", 3, 4)
+    stack, order, x = fam.dense_stack, fam.order, 300
+
+    def two_wrong(rows, products):
+        if products.ndim == 1:
+            return products
+        products = products.copy()
+        prefix = rows[:, 0] * order + rows[:, 1]
+        products[prefix == x, 17] = (products[prefix == x, 17] + 1) % order
+        products[prefix == y, 30] = (products[prefix == y, 30] + 2) % order
+        return products
+
+    _doctor(monkeypatch, "het", 3, 4, results=two_wrong)
+    monkeypatch.setattr(oracle, "_TALL_MNK", runs * 4 ** 3)
+    doctored = oracle.family_context("het", 3, 4)
+
+    def literal(start, stop):
+        """Each prefix's worst deviation and its first bad tuple, or None."""
+        pref, _, res = _reference_prefixes(doctored, stack, start, stop)
+        for p, row in enumerate(pref):
+            dev = np.abs(stack[row[0]] @ stack[row[1]] @ stack - stack[res[p]]).max(axis=(1, 2))
+            bad = (start + p) * order + int(np.argmax(dev > 1e-12))
+            yield float(dev.max()), bad if (dev > 1e-12).any() else None
+
+    # the literal sweep, up to the end of the chunk of the first failure
+    swept = [*literal(0, runs)] + [*literal(runs, 2 * runs)]
+    worst, first = max(dev for dev, _ in swept), min(bad for _, bad in swept if bad)
+    assert first == x * order + 17
+    x_dev, y_dev = (next(literal(p, p + 1))[0] for p in (x, y))
+    assert x_dev < y_dev == 2.0 and worst == (y_dev if y < 2 * runs else x_dev)
+
+    judged = _judged_first_prefixes(monkeypatch)
+    res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12)
+    assert (res.passed, res.checked, res.max_abs_deviation) == (False, first + 1, worst)
+    assert res.witness == {
+        "kind": "closure",
+        "operands": [fam.label(i).token()
+                     for i in phases._build_tuples(order, 3, first, first + 1)[0]],
+        "max_abs_deviation": worst,
+    }
+    # x's and y's classes are judged in the batches described
+    assert [i for p in (x, y) for i, at in enumerate(judged) if p in at] == batches
+    assert judged[0][256] == x
+
+
 @pytest.mark.parametrize("family, n, q", [("het", 3, 4), ("elementary", 3, 8), ("pauli", 2, 12)])
 def test_every_last_writes_into_out(family, n, q):
     # the kernel's every_last result written into a given (2, P, k) buffer,
