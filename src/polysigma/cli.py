@@ -47,9 +47,9 @@ def _cayley_chunks(fam):
     indices of the leading factors of its t-factor rows, and the (P, order)
     result label indices of each prefix followed by every label, from one
     every_last kernel call."""
-    prefixes = fam.order ** (fam.mult_len - 1)
+    prefixes = fam.order ** (fam.n - 1)
     for start, stop in phases._chunk_ranges(prefixes, max(1, _CAYLEY_CHUNK // fam.order)):
-        pref = phases._build_tuples(fam.order, fam.mult_len - 1, start, stop)
+        pref = phases._build_tuples(fam.order, fam.n - 1, start, stop)
         yield pref, fam.index_mult(pref, every_last=True)
 
 
@@ -68,10 +68,10 @@ def _write_csv(fh, fam, tokens, fields) -> None:
     order = fam.order
     heads = [tok.encode() + b"," for tok in tokens]
     tails = [",".join(f).encode() + b"\r\n" for f in fields]
-    keep = fam.mult_len > 2
+    keep = fam.n > 2
     memo = {}
     cells = [[None] * order for _ in range(order)] if keep else None
-    fh.write(",".join([f"op{i + 1}" for i in range(fam.mult_len)]
+    fh.write(",".join([f"op{i + 1}" for i in range(fam.n)]
                       + ["result_j", "result_k", "result_r"]).encode() + b"\r\n")
     block = bytearray()
     for pref, res in _cayley_chunks(fam):

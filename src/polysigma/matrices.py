@@ -5,10 +5,10 @@ symbolic (phase indices, element labels) lives in other modules as exact
 integers; the matrices here are plain ``numpy`` ``complex128`` arrays and are
 only ever compared within explicit tolerances.
 
-The cyclic-shift geometry lives here once, for matrices and labels alike:
-where block s sits (``cyclic_layout``, ``cyclic_places``, ``cyclic_dense``),
-which factor blocks a product's block s multiplies (``cyclic_fold``) and which
-factor counts close (``check_factor_count``).
+The cyclic-shift geometry lives here, for matrices and labels alike: where
+block s sits (``cyclic_dense``; ``phases.lower_slots`` places label blocks
+at the same positions), which factor blocks a product's block s multiplies
+(``cyclic_fold``) and which factor counts close (``check_factor_count``).
 """
 
 from __future__ import annotations
@@ -96,27 +96,15 @@ def allclose(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return max_abs_diff(a, b) <= tol
 
 
-def cyclic_places(dense: np.ndarray, m: int) -> list[np.ndarray]:
-    """Views of the m block positions of a C-contiguous stack (..., 2m, 2m)
-    of cyclic-shift matrices: view s, (..., 2, 2), is block s at block
-    position (s, s+1 mod m).  Writing the views fills the stack in place."""
-    blocks = dense.reshape(dense.shape[:-2] + (m, 2, m, 2))  # a view, as dense is contiguous
-    return [blocks[..., s, :, (s + 1) % m, :] for s in range(m)]
-
-
-def cyclic_layout(lead: tuple, m: int) -> np.ndarray:
-    """A zeroed stack (*lead, 2m, 2m) of cyclic-shift matrices, to be filled
-    through its block positions (``cyclic_places``)."""
-    return np.zeros(tuple(lead) + (2 * m, 2 * m), dtype=np.complex128)
-
-
 def cyclic_dense(blocks) -> np.ndarray:
     """Dense forms (..., 2m, 2m) of cyclic-shift matrices with blocks
     (..., m, 2, 2): block s sits at block position (s, s+1 mod m)."""
     blocks = np.asarray(blocks, dtype=np.complex128)
-    dense = cyclic_layout(blocks.shape[:-3], blocks.shape[-3])
-    for s, place in enumerate(cyclic_places(dense, blocks.shape[-3])):
-        place[...] = blocks[..., s, :, :]
+    lead, m = blocks.shape[:-3], blocks.shape[-3]
+    dense = np.zeros(lead + (2 * m, 2 * m), dtype=np.complex128)
+    places = dense.reshape(lead + (m, 2, m, 2))  # a view of the zeroed stack
+    for s in range(m):
+        places[..., s, :, (s + 1) % m, :] = blocks[..., s, :, :]
     return dense
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import phases
 from .errors import BudgetExceededError, DomainError
-from .matrices import DEFAULT_TOL, BlockCyclicMatrix, cyclic_layout
+from .matrices import DEFAULT_TOL, BlockCyclicMatrix
 from .su2 import PolyadicSU2Element, SU2Params, binary_su2_matrix
 
 DEFAULT_BUDGET = 30_000_000
@@ -60,10 +60,9 @@ class _Family:
     forms are lowered from the codes (``phases.lower_slots``) when read."""
 
     name: str
-    n: int
+    n: int                              # arity: the basic product's factor count
     q: int
     order: int
-    mult_len: int                       # factor count of the basic product
     slots: np.ndarray                   # (m, order) slot codes, read-only
     #: (B, t) label rows -> (B,) products; with every_last=True,
     #: (P, t) prefixes -> (P, order), each prefix followed by every label,
@@ -84,7 +83,7 @@ class _Family:
 
     def lower(self, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Dense forms of the labels at indices ``labels``, into ``out``, a
-        zeroed layout; take leaves each slot's codes contiguous."""
+        C-contiguous stack whose content is overwritten."""
         return phases.lower_slots(self.slots.take(labels, axis=1).T, self.n, self.q, out=out)
 
     @functools.cached_property
@@ -105,7 +104,7 @@ def family_context(name: str, n: int, q: int) -> _Family:
     n, order = phases.family_size(name, n, q)
     slots = phases.family_slots(name, n, q)
     slots.flags.writeable = False
-    return _Family(name, n, q, order, n, slots, phases._slot_kernel(name, q, slots))
+    return _Family(name, n, q, order, slots, phases._slot_kernel(name, q, slots))
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +198,22 @@ def _deviation(prod: np.ndarray, expected: np.ndarray, tol: float,
 
 
 def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float,
-                       bufs: tuple) -> tuple[float, int | None]:
-    """Max deviation over tuple rows and the first bad row.  The factors and
-    label results are lowered from their slot codes into the two zeroed
-    layouts of ``bufs`` and multiplied into its two products (``_check``),
-    so a slice lowers only its own labels and allocates no dense stack."""
-    p = len(idx)
-    layouts, prods, dev = bufs[0][:, :p], bufs[1][:, :p], bufs[2][:p]
-    acc = fam.lower(idx[:, 0], layouts[0])
-    for t in range(1, idx.shape[1]):
-        acc = np.matmul(acc, fam.lower(idx[:, t], layouts[1]), out=prods[(t + 1) % 2])
-    worst, bad = _deviation(acc, fam.lower(fam.index_mult(idx), layouts[0]), tol, dev)
+                       bufs: np.ndarray) -> tuple[float, int | None]:
+    """Max deviation over tuple rows and the first bad row.  ``bufs`` is
+    three dense stacks reused from slice to slice (``_check``): a factor
+    stack and two products.  The first factor is lowered into the product
+    the first ``matmul`` does not write, every later factor into the factor
+    stack, the label results into the factor stack after the last
+    ``matmul``, and the deviations into the spare product's memory, so a
+    slice lowers only its own labels and allocates no dense stack."""
+    p, t_len = idx.shape
+    factor, prods = bufs[0, :p], bufs[1:, :p]
+    acc = fam.lower(idx[:, 0], prods[1])
+    for t in range(1, t_len):
+        acc = np.matmul(acc, fam.lower(idx[:, t], factor), out=prods[(t + 1) % 2])
+    # real deviations fill the first half of the spare product's bytes
+    dev = prods[(t_len + 1) % 2].reshape(-1).view(np.float64)[:acc.size].reshape(acc.shape)
+    worst, bad = _deviation(acc, fam.lower(fam.index_mult(idx), factor), tol, dev)
     return worst, None if bad is None else int(np.argmax(bad))
 
 
@@ -477,7 +481,7 @@ def _assoc_on_tuples(fam: _Family, idx: np.ndarray) -> tuple[float, int | None]:
     """Compare all bracketings of a (2n-1)-factor product; exact in label
     space, so the deviation is 0.0.  Returns the first disagreeing row, or
     None."""
-    n = fam.mult_len
+    n = fam.n
     results = []
     for p in range(n):
         inner = fam.index_mult(idx[:, p:p + n])
@@ -504,9 +508,9 @@ _CHUNK = 1 << 17
 #: memory; a closure slice is also held to _SAMPLE_SLICE_BYTES.
 _SAMPLE_SLICE = 1 << 14
 #: bound on the bytes of one dense stack of a sampled closure slice.  A
-#: check lowers a slice's operands into four such stacks, two zeroed
-#: layouts and two products, and holds its deviations in half of one, all
-#: reused from slice to slice: at d = 6 a slice is 1,820 rows.
+#: check holds three such stacks, one factor stack and two products, reused
+#: from slice to slice, and writes its deviations into the spare product:
+#: at d = 6 a slice is 1,820 rows.
 _SAMPLE_SLICE_BYTES = 1 << 20
 #: bound on m*n*k of one tall product.  OpenBLAS 0.3 splits a complex GEMM
 #: of about 2^16 m*n*k over two threads; on two cores that doubled CPU time
@@ -522,20 +526,20 @@ def power_text(base: int, exp: int) -> str:
         return f"{base}^{exp}"
 
 
-def gate(kind: str, order: int, mult_len: int, *, mode: str, budget: int,
+def gate(kind: str, order: int, n: int, *, mode: str, budget: int,
          tol: float = DEFAULT_TOL) -> tuple[int, int, bool]:
     """The gate of every closure and associativity check over a family of
-    ``order`` labels whose product takes ``mult_len`` factors: the tuple
-    length, the tuple count and whether the check is exhaustive.  Over
-    ``budget`` it refuses an exhaustive request rather than sample, and an
-    auto request samples.  It needs no family context and runs nothing, so
+    ``order`` labels whose product takes ``n`` factors: the tuple length,
+    the tuple count and whether the check is exhaustive.  Over ``budget``
+    it refuses an exhaustive request rather than sample, and an auto
+    request samples.  It needs no family context and runs nothing, so
     a caller can put all of its checks through their gates before any of
     them lowers a label or sweeps."""
     if mode not in ("auto", "exhaustive", "sample"):
         raise DomainError(f"mode must be auto|exhaustive|sample, got {mode!r}")
     _check_tolerance(tol)
     closure = kind == "closure"
-    tuple_len = mult_len if closure else 2 * mult_len - 1
+    tuple_len = n if closure else 2 * n - 1
     total = order ** tuple_len
     exhaustive = mode == "exhaustive" or (mode == "auto" and total <= budget)
     if exhaustive and total > budget:
@@ -550,7 +554,7 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     """A closure or associativity check through its ``gate``: every tuple in
     row-major chunks (the closure by classes, ``_closure_sweep``), or the
     seeded sample in slices, up to the first failing tuple."""
-    tuple_len, total, exhaustive = gate(kind, fam.order, fam.mult_len,
+    tuple_len, total, exhaustive = gate(kind, fam.order, fam.n,
                                         mode=mode, budget=budget, tol=tol)
     closure = kind == "closure"
     checked, worst, first, jobs = 0, 0.0, None, ()
@@ -564,9 +568,8 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
         rows = (max(1, min(_SAMPLE_SLICE, _SAMPLE_SLICE_BYTES // (16 * fam.d ** 2)))
                 if closure else _SAMPLE_SLICE)
         total, jobs = samples, phases._chunk_ranges(samples, rows)
-        if closure:  # layouts, products, deviations, reused from slice to slice
-            layouts = cyclic_layout((2, rows), fam.n - 1)
-            bufs = layouts, np.empty_like(layouts), np.empty(layouts.shape[1:])
+        if closure:  # a factor stack and two products, reused from slice to slice
+            bufs = np.empty((3, rows, fam.d, fam.d), np.complex128)
     for start, stop in jobs:
         idx = (phases._build_tuples(fam.order, tuple_len, start, stop) if exhaustive
                else sample[start:stop])
@@ -611,11 +614,11 @@ def _sweep(family: str, n: int, q: int, tuple_len: int, *, tol: float,
     """The closure or associativity check whose tuples have ``tuple_len``
     factors, as a summary; ``gate`` holds the mode and its settings."""
     fam = family_context(family, n, q)
-    kinds = {fam.mult_len: "closure", 2 * fam.mult_len - 1: "associativity"}
+    kinds = {fam.n: "closure", 2 * fam.n - 1: "associativity"}
     if tuple_len not in kinds:
         raise DomainError(
-            f"tuple length must be {fam.mult_len} (closure) or "
-            f"{2 * fam.mult_len - 1} (associativity), got {tuple_len}"
+            f"tuple length must be {fam.n} (closure) or "
+            f"{2 * fam.n - 1} (associativity), got {tuple_len}"
         )
     res = _check(fam, kinds[tuple_len], tol=tol, **gate)
     return SweepSummary(
@@ -666,9 +669,9 @@ def querelement_dense_check(family: str, n: int, q: int) -> float:
     # the structure's first formula: the ternary closed form for het at n = 3
     quers = _lowered_querelements(fam, phases._STRUCTURES[family].inverses(fam.n)[0])
     worst = 0.0
-    for pos in range(fam.mult_len):
+    for pos in range(fam.n):
         prod = functools.reduce(
-            np.matmul, [quers if t == pos else elems for t in range(fam.mult_len)])
+            np.matmul, [quers if t == pos else elems for t in range(fam.n)])
         worst = max(worst, float(np.abs(prod - elems).max()))
     return worst
 

@@ -362,11 +362,11 @@ def test_cayley_csv_matches_a_literal_table(tmp_path, family, n, q):
     # index_mult over every tuple; these 65,536 and 274,625 rows repeat 16
     # and 65 distinct result rows across 4,096 and 4,225 prefixes
     fam = family_context(family, n, q)
-    tuples = phases._build_tuples(fam.order, fam.mult_len, 0, fam.order ** fam.mult_len)
+    tuples = phases._build_tuples(fam.order, fam.n, 0, fam.order ** fam.n)
     labels = [fam.label(i) for i in range(fam.order)]
     want = io.StringIO(newline="")
     writer = csv.writer(want)
-    writer.writerow([f"op{i + 1}" for i in range(fam.mult_len)]
+    writer.writerow([f"op{i + 1}" for i in range(fam.n)]
                     + ["result_j", "result_k", "result_r"])
     for ops, r in zip(tuples.tolist(), fam.index_mult(tuples).tolist()):
         writer.writerow([labels[i].token() for i in ops] + _result_fields(labels[r]))

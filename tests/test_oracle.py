@@ -118,6 +118,33 @@ def test_dense_stack_is_the_blockwise_construction(family, n, q):
                for lab, row in zip(labels, fam.dense_stack))
 
 
+@pytest.mark.parametrize("family, n, q", [
+    ("pauli", 2, 4), ("full", 5, 12), ("elementary", 4, 12), ("het", 4, 8), ("het", 3, 360),
+])
+def test_lower_slots_overwrites_a_used_buffer(family, n, q, rng):
+    # the sampled closure lowers slice after slice into one buffer that it
+    # never zeroes, so lowering must write every entry of its out, whatever
+    # the buffer held: here random bits, NaNs among them.  The last slice
+    # is partial, and the rows past it keep what they held
+    fam = family_context(family, n, q)
+    labels = np.concatenate([[0, fam.order - 1], rng.integers(0, fam.order, 150)])
+    if family == "elementary":
+        assert isinstance(fam.label(fam.order - 1), ZeroLabel)
+    rows, d = 64, fam.d
+    buf = np.frombuffer(rng.bytes(rows * d * d * 16), np.complex128).reshape(rows, d, d).copy()
+    for start in range(0, len(labels), rows):
+        part = labels[start:start + rows]
+        held = buf[len(part):].tobytes()
+        got = phases.lower_slots(fam.slots[:, part].T, fam.n, q, out=buf[:len(part)])
+        assert np.shares_memory(got, buf)
+        want = np.stack([_reference_dense(fam.label(int(i)), fam.n, q) for i in part])
+        assert buf[:len(part)].tobytes() == want.tobytes()
+        assert buf[len(part):].tobytes() == held
+    assert len(labels) % rows  # the last slice was partial
+    with pytest.raises(DomainError):  # a strided out would be filled through a copy
+        phases.lower_slots(fam.slots[:, labels[:4]].T, fam.n, q, out=buf[:8:2])
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -263,8 +290,8 @@ def _gathered_sampled_closure(family, n, q, samples, seed):
     once, with the whole sample multiplied in one piece."""
     fam = family_context(family, n, q)
     stack = phases.lower_slots(fam.slots.T, fam.n, q)
-    idx = oracle._sampled_tuples(fam.order, fam.mult_len, samples, seed)
-    prods = functools.reduce(np.matmul, [stack[idx[:, t]] for t in range(fam.mult_len)])
+    idx = oracle._sampled_tuples(fam.order, fam.n, samples, seed)
+    prods = functools.reduce(np.matmul, [stack[idx[:, t]] for t in range(fam.n)])
     expected = stack[fam.index_mult(idx)]
     dev = np.abs(prods - expected).max(axis=(1, 2))
     return prods, expected, float(dev.max())
@@ -637,9 +664,9 @@ def _class_keys(acc, res):
 def _reference_prefixes(fam, stack, start, stop):
     """Prefixes start..stop-1 in row-major order, their literal products by
     the per-tuple left fold, and their label results with every last label."""
-    pref = phases._build_tuples(fam.order, fam.mult_len - 1, start, stop)
+    pref = phases._build_tuples(fam.order, fam.n - 1, start, stop)
     acc = stack[pref[:, 0]]
-    for t in range(1, fam.mult_len - 1):
+    for t in range(1, fam.n - 1):
         acc = acc @ stack[pref[:, t]]
     return pref, acc, fam.index_mult(pref, every_last=True)
 
@@ -660,7 +687,7 @@ def test_exhaustive_closure_judges_each_class_bit_for_bit(monkeypatch, family, n
     monkeypatch.setattr(oracle, "_closure_on_range", lambda f, at, acc, res, tol: (
         judged.append((acc, res)) or real(f, at, acc, res, tol)))
     swept = closure_check(family, n, q, mode="exhaustive")
-    assert swept.passed and swept.checked == order ** fam.mult_len
+    assert swept.passed and swept.checked == order ** fam.n
 
     classes, reps, worst = {}, [], 0.0
     for acc, res in judged:
@@ -676,7 +703,7 @@ def test_exhaustive_closure_judges_each_class_bit_for_bit(monkeypatch, family, n
 
     # every tuple's literal product is its class representative's, so the
     # worst over the representatives is the worst over every tuple
-    prefixes = order ** (fam.mult_len - 1)
+    prefixes = order ** (fam.n - 1)
     runs = max(1, min(oracle._CHUNK // order, oracle._TALL_MNK // d ** 3))
     members = 0
     for start in range(0, prefixes, runs):
@@ -688,7 +715,7 @@ def test_exhaustive_closure_judges_each_class_bit_for_bit(monkeypatch, family, n
             np.matmul(tall, stack[last], out=prod.reshape(tall.shape))
             assert np.array_equal(prod.view(np.int64), reps[last].take(cls, axis=0))
     assert members == prefixes
-    if fam.mult_len == 2:
+    if fam.n == 2:
         assert len(classes) == prefixes  # two factors: every prefix is judged
     assert swept.max_abs_deviation == worst
 
@@ -894,8 +921,8 @@ def test_every_last_writes_into_out(family, n, q):
     # dense product of its factors; pauli prefixes have one factor, so they
     # take the kernel's outright fold
     fam = family_context(family, n, q)
-    prefixes = fam.order ** (fam.mult_len - 1)
-    pref = phases._build_tuples(fam.order, fam.mult_len - 1, prefixes - 40, prefixes)
+    prefixes = fam.order ** (fam.n - 1)
+    pref = phases._build_tuples(fam.order, fam.n - 1, prefixes - 40, prefixes)
     dtype = fam.index_mult(pref[:1], every_last=True).dtype
     out = np.full((2, 64, fam.order), 7, dtype=dtype)
     got = fam.index_mult(pref, every_last=True, out=out[:, :len(pref)])

@@ -713,10 +713,10 @@ def test_lower_slots_output_is_pinned(family, n, q, sha):
 
 
 def test_lower_slots_holds_little_besides_its_result():
-    # each slot's blocks go straight into their place in the result: no
-    # gathered block stack and no reordering copy of the whole stack, so the
-    # het (4, 8) lowering peaks near its 18.9 MB result (one slot's gather
-    # is 2.1 MB), where a gather-then-place lowering peaks above twice it
+    # the row pairs are gathered straight into the result: no gathered
+    # block stack and no reordering copy of the whole stack, so the het
+    # (4, 8) lowering peaks near its 18.9 MB result (its row indices are
+    # 0.8 MB), where a gather-then-place lowering peaks above twice it
     codes = phases.family_slots("het", 4, 8).T
     dense, peak = traced_peak(lambda: phases.lower_slots(codes, 4, 8))
     assert dense.shape == (32768, 6, 6)
@@ -813,7 +813,7 @@ def test_structure_checks_read_every_position(pick):
     # position already implies the rest, so the kernel cases above cannot
     # tell a skipped side or position; a stand-in product that returns
     # factor `pick` can
-    fam = SimpleNamespace(mult_len=3, index_mult=lambda rows: rows[:, pick])
+    fam = SimpleNamespace(n=3, index_mult=lambda rows: rows[:, pick])
     elems = np.arange(6)
     assert phases._identity_holds(fam, 2, elems).tolist() == (elems == 2).tolist()
     inv = np.array([0, 2, 1, 3, 5, 4])
