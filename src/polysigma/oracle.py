@@ -63,7 +63,10 @@ class _Family:
     n: int                              # arity: the basic product's factor count
     q: int
     order: int
-    slots: np.ndarray                   # (m, order) slot codes, read-only
+    #: (m, order) read-only slot codes in their narrow dtype
+    #: (``phases._code_dtype``: int16 up to q = 40, else int32), which the
+    #: kernel, its last-factor tables and ``lower`` all read
+    slots: np.ndarray
     #: (B, t) label rows -> (B,) products; with every_last=True,
     #: (P, t) prefixes -> (P, order), each prefix followed by every label,
     #: folding only the prefixes and finishing every label from the
@@ -98,11 +101,13 @@ class _Family:
 
 @functools.lru_cache(maxsize=1)
 def family_context(name: str, n: int, q: int) -> _Family:
-    """Slot codes and the slot-table kernel of one family.  The last context
-    is cached, so one run's checks share one enumeration, one kernel and,
-    if one of them reads it, one ``dense_stack``."""
+    """Slot codes and the slot-table kernel of one family.  The codes are
+    enumerated in int64 and narrowed once to ``phases._code_dtype``; no
+    int64 copy is kept.  The last context is cached, so one run's checks
+    share one enumeration, one kernel and, if one of them reads it, one
+    ``dense_stack``."""
     n, order = phases.family_size(name, n, q)
-    slots = phases.family_slots(name, n, q)
+    slots = phases.family_slots(name, n, q).astype(phases._code_dtype(q))
     slots.flags.writeable = False
     return _Family(name, n, q, order, slots, phases._slot_kernel(name, q, slots))
 
@@ -655,8 +660,11 @@ def sampled_sweep(family: str, n: int, q: int, tuple_len: int, *,
 
 def _lowered_querelements(fam: _Family, formula: Callable) -> np.ndarray:
     """Dense forms of the querelements of every label, from one application
-    of a batched slot-code formula of ``phases`` to the family's codes."""
-    return phases.lower_slots(formula(fam.slots, fam.n, fam.q).T, fam.n, fam.q)
+    of a batched slot-code formula of ``phases`` to the family's codes,
+    widened to int64: a formula's arithmetic, as (2 - n) * r, overflows the
+    narrow codes."""
+    codes = formula(fam.slots.astype(np.int64), fam.n, fam.q)
+    return phases.lower_slots(codes.T, fam.n, fam.q)
 
 
 def querelement_dense_check(family: str, n: int, q: int) -> float:

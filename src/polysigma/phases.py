@@ -280,13 +280,20 @@ class HetLabel(_Label):
 # elementary tuples fall out of the Cayley table's zero row and column.
 
 
+def _code_dtype(q: int) -> np.dtype:
+    """The narrowest signed dtype of slot codes and of the Cayley table: it
+    holds the fold's flat index code*(4q+1) + code, below (4q+1)^2, so
+    int16 up to q = 44 and int32 from q = 48."""
+    return np.dtype(np.int16 if (4 * q + 1) ** 2 <= 1 << 15 else np.int32)
+
+
 @functools.cache
 def _cayley_table(q: int) -> np.ndarray:
     """(4q+1, 4q+1) read-only Cayley table of G_q plus the absorbing zero 4q,
-    filled one (q, q) block per pair of sigma indices.  int32 holds every
-    code and, at q = 360, the fold's flat index below 2^21."""
+    filled one (q, q) block per pair of sigma indices, in the codes' dtype
+    (``_code_dtype``)."""
     sums = np.add.outer(np.arange(q), np.arange(q))
-    table = np.full((4 * q + 1, 4 * q + 1), 4 * q, dtype=np.int32)
+    table = np.full((4 * q + 1, 4 * q + 1), 4 * q, dtype=_code_dtype(q))
     for a in range(4):
         for b in range(4):
             j, quarter = mul_sigma_indices(a, b)
@@ -298,11 +305,20 @@ def _cayley_table(q: int) -> np.ndarray:
 
 def _slot_fold(q: int, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Slot codes of the product of ``factors``, each an (m, ...) array of
-    slot codes, folded left to right: one array per result slot, in which
-    the shapes after the factors' slot axis broadcast."""
-    table = _cayley_table(q).ravel()  # one flat gather beats table[a, b]
-    width = 4 * q + 1
-    return cyclic_fold(factors, lambda acc, code: table[acc * width + code])
+    slot codes of one shape, folded left to right: one array per result
+    slot.  This is the one fold of every label product: the kernel's rows
+    and prefixes, and, on (m,) codes whose slots are numpy scalars, the
+    public scalar products.  Each step forms acc * (4q+1), adds the code in
+    place and takes acc from the flat Cayley table at that index, in the
+    codes' narrow dtype (``_code_dtype``); no factor is written."""
+    table, width = _cayley_table(q).ravel(), 4 * q + 1
+
+    def step(acc: np.ndarray, code: np.ndarray) -> np.ndarray:
+        acc = acc * width
+        acc += code
+        return table.take(acc)
+
+    return cyclic_fold(factors, step)
 
 
 def _slot_parts(name: str, q: int, m: int) -> tuple[np.ndarray, Callable]:
@@ -349,7 +365,12 @@ def _last_factor_tables(q: int, slots: np.ndarray, parts: np.ndarray,
 
 def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarray]:
     """index_mult over the labels with (m, k) slot codes ``slots``: (B, t)
-    rows of label indices -> (B,) label indices of the products.
+    rows of label indices -> (B,) label indices of the products.  The codes
+    are best held in their narrow dtype (``_code_dtype``, as
+    ``oracle.family_context`` holds them): each factor's codes are one
+    gather from ``slots`` by its column of label indices, and the products'
+    codes come from the one fold of every label product (``_slot_fold``),
+    which each result slot's parts then encode.
 
     With every_last=True, (P, t) prefixes -> (P, k), each prefix followed by
     every label: only the prefixes are folded, to one (P,) code per result
@@ -390,7 +411,7 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
         factors = [np.take(slots, idx[:, t], axis=1) for t in range(idx.shape[1])]
         rows = parts
         if every_last and len(factors) == 1:
-            factors, rows = [factors[0][:, :, None], slots[:, None, :]], narrow
+            factors, rows = np.broadcast_arrays(factors[0][:, :, None], slots[:, None, :]), narrow
         elif every_last:
             rows = last_tables(idx.shape[1] % m)
         codes = _slot_fold(q, factors)
@@ -538,7 +559,7 @@ def _product(name: str, labels: Sequence, n: int):
     for lab in labels:
         if lab.n != n:
             raise DomainError(f"arity mismatch: {lab.n} != {n}")
-    codes = _slot_fold(q, [np.array(lab.slots()) for lab in labels])
+    codes = _slot_fold(q, np.array([lab.slots() for lab in labels], _code_dtype(q)))
     return label_from_slots(name, n, q, codes)
 
 
@@ -840,7 +861,10 @@ def _element_checks(spec: _Structure, fam, encode: Callable, elems: np.ndarray,
         if e_index is not None:
             ident_ok = ident_ok and bool(_identity_holds(fam, e_index, part).all())
         if formulas:
-            invs = [encode(f(fam.slots[:, part], n, q)) for f in formulas]
+            # widened: a formula's arithmetic, as (2 - n) * r, overflows the
+            # narrow codes
+            codes = fam.slots.take(part, axis=1).astype(np.int64)
+            invs = [encode(f(codes, n, q)) for f in formulas]
             target = e_index if spec.binary else part
             quer_ok = (quer_ok and all(np.array_equal(invs[0], v) for v in invs[1:])
                        and bool(_inverse_holds(fam, part, invs[0], target).all()))

@@ -305,8 +305,12 @@ def _sha256(path):
     (["--family", "het", "--n", "4", "--q", "8"],
      "23992fdacaf45ce8cdd5eefd70add0d846c676e3b6dc8886ba1b0a0776b7ee80",
      "b3be602845808dabd2752400b834d984ab317c045541a99f4697c340f8373677"),
+    # the benchmark's het3-exhaustive workload
+    (["--family", "het", "--n", "3", "--q", "4", "--mode", "exhaustive"],
+     "1293b55648bf0515aa95481b8ed1809a2791118c2c066ba4c8c87f6e76f0a1e2",
+     "3977469830abb8795d13278cbc46ab30f4b33ff42e2497d29cd512f951757b57"),
 ], ids=["pauli-q4", "elementary-n3-q4", "full-n3-q8-seed7", "het-n3-q4-sample",
-        "het-n4-q8"])
+        "het-n4-q8", "het-n3-q4-exhaustive"])
 def test_verify_outputs_are_pinned(tmp_path, args, report_sha, junit_sha):
     out, junit = tmp_path / "r.json", tmp_path / "j.xml"
     assert run(["verify", *args, "--out", out, "--junit", junit]) == 0

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import sys
 import threading
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -1067,3 +1068,72 @@ def test_two_factor_closures_build_no_last_factor_table(monkeypatch):
         res = closure_check(family, 2, 12, mode="exhaustive")
         assert res.passed and res.checked == family_context(family, 2, 12).order ** 2
     assert builds == []
+
+
+@pytest.mark.parametrize("q", [4, 40, 60, 360])
+@pytest.mark.parametrize("family, n", [("pauli", 2), ("full", 4), ("elementary", 4),
+                                       ("het", 4)])
+def test_kernel_matches_scalar_products_across_code_widths(family, n, q):
+    # slot codes are int16 up to q = 44 and int32 from q = 48; 40 and 60 are
+    # the admissible moduli on either side.  The kernel runs over the narrow
+    # codes of up to 48 drawn labels, the zero among the elementary ones,
+    # and must agree with the scalar products of their label objects
+    dtype = phases._code_dtype(q)
+    assert dtype == (np.int16 if q <= 40 else np.int32)
+    assert phases._cayley_table(q).dtype == dtype
+    assert family_context("pauli", 2, q).slots.dtype == dtype
+    _, order = phases.family_size(family, n, q)
+    rng = np.random.default_rng(q * 10 + n)
+    labels = rng.choice(order, size=min(48, order), replace=False)
+    if family == "elementary":
+        labels[0] = order - 1
+    slots = phases.family_slots(family, n, q, labels).astype(dtype)
+    index_mult = phases._slot_kernel(family, q, slots)
+    m = len(slots)
+    for t in (n, 2 * n - 1):
+        rows = rng.integers(0, len(labels), size=(40, t))
+        if family == "elementary":
+            # rows whose positions chain k, k+1, ... (cyclic), so that not
+            # every product is the zero
+            live = np.flatnonzero(labels < order - 1)
+            pos = slots[:, live].argmin(axis=0)
+            for row in rows[:20]:
+                k = rng.integers(m)
+                row[:] = [rng.choice(live[pos == (k + u) % m]) for u in range(t)]
+        got = index_mult(rows)
+        want = [phases._product(family, [phases.label_from_slots(family, n, q, slots[:, i])
+                                         for i in row], n) for row in rows]
+        assert [phases.label_from_slots(family, n, q, codes)
+                for codes in phases.family_slots(family, n, q, got).T] == want
+        if family == "elementary":
+            assert (got != order - 1).any() and (got == order - 1).any()
+        # column j of an every_last result is the row-wise product with last
+        # label j
+        every = index_mult(rows[:8, :-1], every_last=True)
+        assert every.shape == (8, len(labels))
+        for last in range(len(labels)):
+            whole = np.column_stack([rows[:8, :-1], np.full(8, last)])
+            assert np.array_equal(every[:, last], index_mult(whole))
+
+
+def test_code_width_changes_between_q_44_and_48():
+    # the fold's largest flat index (4q+1)^2 - 1 is 31,328 at q = 44 and
+    # 37,248 at q = 48; neither q is an admissible modulus
+    assert phases._code_dtype(44) == np.int16 and phases._code_dtype(48) == np.int32
+
+
+def test_family_context_keeps_only_narrow_codes():
+    # het (4, 8): 3 slots of 32,768 labels at 2 bytes each.  family_slots
+    # enumerates int64 codes, and none of them outlives the context: what
+    # it holds beside its narrow codes is less than one int64 per label
+    family_context("het", 4, 8)  # builds the cached Cayley table first
+    family_context.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fam = family_context("het", 4, 8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert fam.slots.dtype == np.int16 and fam.slots.nbytes == 196_608
+    assert held - fam.slots.nbytes < 8 * fam.order

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from polysigma import ArityError, DomainError, ValidationError, cli, phases
+from polysigma import ArityError, DomainError, ValidationError, cli, oracle, phases
 from polysigma.matrices import sigma
 from polysigma.oracle import family_context
 from polysigma.phases import (
@@ -608,6 +608,31 @@ def test_element_checks_hold_one_slice():
     assert ident_ok and quer_ok
     assert hist == {"1": 1024, "2": 7168, "4": 8192, "8": 16384}
     assert peak <= 2 ** 20
+
+
+def test_querelement_formulas_run_on_widened_codes(monkeypatch):
+    # full (1000, 40) holds int16 codes, and (2 - n) * r wraps in int16 for
+    # r > 32: both callers of a formula must widen the codes first and match
+    # the formula applied to the int64 enumeration.  The kernel is stood in
+    # for and nothing is lowered, since each product takes 1,000 factors and
+    # each dense form is 1998 x 1998
+    n, q = 1000, 40
+    fam = family_context("full", n, q)
+    want = phases._full_querelement(phases.family_slots("full", n, q), n, q)
+    assert fam.slots.dtype == np.int16
+    assert not np.array_equal(phases._full_querelement(fam.slots, n, q), want)
+
+    seen = []
+    encode = phases._slot_index("full", q, 1)
+    stand_in = SimpleNamespace(n=n, q=q, order=fam.order, slots=fam.slots,
+                               index_mult=lambda rows: rows[:, 0])
+    phases._element_checks(phases._STRUCTURES["full"], stand_in,
+                           lambda codes: seen.append(codes) or encode(codes),
+                           np.arange(fam.order), None)
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
+
+    monkeypatch.setattr(phases, "lower_slots", lambda codes, n, q: codes.T)
+    assert np.array_equal(oracle._lowered_querelements(fam, phases._full_querelement), want)
 
 
 def test_structure_report_json_schema():
