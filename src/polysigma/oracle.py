@@ -322,44 +322,87 @@ class _ClassTable:
         return np.flatnonzero(judge)
 
 
+def _prefix_blocks(fam: _Family, tuple_len: int):
+    """The exhaustive closure's prefix products, in blocks of heads in
+    row-major order.  A head is a prefix without its last factor.  Each
+    head's product is folded once, by the per-matrix left fold, and the
+    block's heads, stacked to (H*d, d), are multiplied by each label's
+    matrix as one tall product; the H products with label c fill rows
+    c*H .. c*H+H-1 of the (order*H, d, d) block.  H is held to the tall
+    product's bound and to ``_PREFIX_BLOCK_BYTES``, but a block holds at
+    least one head.  With two factors the heads are empty and the one
+    block is the dense stack itself.  Yields (first head, H, block); the
+    block is a buffer, valid until the next one."""
+    order, d, stack = fam.order, fam.d, fam.dense_stack
+    if tuple_len == 2:
+        yield 0, 1, stack
+        return
+    heads = order ** (tuple_len - 2)
+    size = min(heads, max(1, min(_TALL_MNK // d ** 3, _PREFIX_BLOCK_BYTES // stack.nbytes)))
+    block = np.empty((order * size, d, d), stack.dtype)
+    fold = np.empty((3, size, d, d), stack.dtype)
+    for first in range(0, heads, size):
+        h = min(size, heads - first)
+        head = phases._build_tuples(order, tuple_len - 2, first, first + h)
+        # the gathers never clip: head holds label indices
+        acc, spare, factor = fold[:, :h]
+        np.take(stack, head[:, 0], axis=0, out=acc, mode="clip")
+        for t in range(1, tuple_len - 2):
+            np.take(stack, head[:, t], axis=0, out=factor, mode="clip")
+            acc, spare = np.matmul(acc, factor, out=spare), acc
+        tall, prods = acc.reshape(h * d, d), block[:order * h].reshape(order, h * d, d)
+        for last in range(order):
+            np.matmul(tall, stack[last], out=prods[last])
+        yield first, h, block[:order * h]
+
+
 def _closure_claims(fam: _Family, tuple_len: int, chunks):
     """The exhaustive closure's chunks in flat row-major order, each with the
     prefixes it claims; start and stop are multiples of the label count, so
     a chunk is whole runs that each share their leading tuple_len-1 factors.
-    Every prefix's literal product is computed by a batched left fold, and
-    its label results with every last label by the kernel, in buffers
-    reused from chunk to chunk.  With three or more factors a prefix is
-    claimed only when its (product bits, label results) pair is new to the
-    sweep: the pairs are claimed here, in chunk order, in a ``_ClassTable``
-    that finds most prefixes' classes by a 64-bit fingerprint of the product
-    and confirms each by a full compare of the pair.  With two factors every
-    prefix is claimed.  Yields (the chunk's first prefix, chunk-local
-    indices of the claimed prefixes, every prefix's product, every prefix's
-    label results); the two stacks are the buffers, valid until the next
-    chunk."""
+    Every prefix's literal product is taken from its block of heads
+    (``_prefix_blocks``), and its label results with every last label are
+    computed by the kernel, in buffers reused from chunk to chunk.  With
+    three or more factors a prefix is claimed only when its (product bits,
+    label results) pair is new to the sweep: the pairs are claimed here, in
+    chunk order, in a ``_ClassTable`` that finds most prefixes' classes by
+    a 64-bit fingerprint of the product and confirms each by a full compare
+    of the pair.  With two factors every prefix is claimed.  Yields (the
+    chunk's first prefix, chunk-local indices of the claimed prefixes, every
+    prefix's product, every prefix's label results); the two stacks are the
+    buffers, valid until the next chunk."""
     order, stack = fam.order, fam.dense_stack
     table = _ClassTable() if tuple_len > 2 else None
+    blocks = _prefix_blocks(fam, tuple_len)
+    first = size = 0  # the current block's first head and head count
     prods = out = None
     for start, stop in chunks:
-        pref = phases._build_tuples(order, tuple_len - 1, start // order, stop // order)
+        start, stop = start // order, stop // order  # prefix rows
+        pref = phases._build_tuples(order, tuple_len - 1, start, stop)
         p = len(pref)
         if prods is None:  # every chunk but the last is as long as the first
-            prods = np.empty((3, p, *stack.shape[1:]), stack.dtype)
+            prods = np.empty((p, *stack.shape[1:]), stack.dtype)
             # the kernel's result dtype, from one prefix
             out = np.empty((2, p, order), fam.index_mult(pref[:1], every_last=True).dtype)
-        # the gathers never clip: pref holds label indices
-        acc, spare, factor = prods[:, :p]
-        np.take(stack, pref[:, 0], axis=0, out=acc, mode="clip")
-        for t in range(1, tuple_len - 1):
-            np.take(stack, pref[:, t], axis=0, out=factor, mode="clip")
-            acc, spare = np.matmul(acc, factor, out=spare), acc
+        acc = prods[:p]
+        row = start
+        while row < stop:  # one take from each block the chunk meets
+            if row >= (first + size) * order:
+                first, size, block = next(blocks)
+            end = min(stop, (first + size) * order)
+            part = slice(row - start, end - start)
+            # prefix (head first+i, last label c) is block row c*size + i;
+            # the take never clips
+            rows = pref[part, -1] * size + (np.arange(row, end) // order - first)
+            np.take(block, rows, axis=0, out=acc[part], mode="clip")
+            row = end
         # a wrapped kernel may ignore out, so its result is what counts
         res = fam.index_mult(pref, every_last=True, out=out[:, :p])
         if table is None:
             at = np.arange(p)
         else:
             at = table.claim(acc.reshape(p, -1).view(np.uint64), res)
-        yield start // order, at, acc, res
+        yield start, at, acc, res
 
 
 def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
@@ -517,6 +560,13 @@ _SAMPLE_SLICE = 1 << 14
 #: from slice to slice, and writes its deviations into the spare product:
 #: at d = 6 a slice is 1,820 rows.
 _SAMPLE_SLICE_BYTES = 1 << 20
+#: bound on the bytes of the exhaustive closure's block of prefix products
+#: (``_prefix_blocks``), which holds at least one head: 1.5 MiB, at het
+#: (3, 4) 24 heads times 256 labels.  glibc's malloc raises its mmap
+#: threshold to the size of each mapped buffer it frees, so a larger block
+#: leaves later arrays of a verify on the heap, resident: at 2 MiB the het
+#: (3, 4) verify's peak RSS rose 0.8-1.2 MB, at 1.5 MiB 0.2-0.4 MB.
+_PREFIX_BLOCK_BYTES = 3 << 19
 #: bound on m*n*k of one tall product.  OpenBLAS 0.3 splits a complex GEMM
 #: of about 2^16 m*n*k over two threads; on two cores that doubled CPU time
 #: and saved no wall time.

@@ -448,9 +448,10 @@ def family_size(name: str, n: int, q: int) -> tuple[int, int]:
 
 
 def _check_enumerable(order: int, m: int) -> None:
-    """Refuse to enumerate ``order`` labels of ``m`` slots when their int64
-    indices and (m, order) codes alone would exceed physical memory."""
-    need, have = 8 * order * (m + 1), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Refuse to enumerate ``order`` labels of ``m`` slots when what
+    ``family_slots`` holds in int64, the indices, one row of digits and the
+    (m, order) codes, would alone exceed physical memory."""
+    need, have = 8 * order * (m + 2), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise DomainError(f"enumerating {order} labels takes at least {need} bytes, "
                           f"more than the {have} bytes of physical memory")

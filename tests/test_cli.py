@@ -260,15 +260,15 @@ def test_verify_refuses_a_label_set_too_large_to_lower(monkeypatch, capsys, tmp_
 
 
 def test_verify_refuses_an_enumeration_beyond_physical_memory(monkeypatch, capsys, tmp_path):
-    # het (3, 4) enumerated takes 256 int64 indices and 512 codes, 6,144
-    # bytes: on a host of one 4 KiB page it is refused with exit 2, no
-    # traceback and no report
+    # het (3, 4) enumerated takes 256 int64 indices, 256 digits and 512
+    # codes, 8,192 bytes: on a host of one 4 KiB page it is refused with
+    # exit 2, no traceback and no report
     monkeypatch.setattr(phases.os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 1)
     oracle.family_context.cache_clear()
     out = tmp_path / "r.json"
     assert run(["verify", "--family", "het", "--n", "3", "--q", "4", "--out", out]) == 2
     assert capsys.readouterr().err == (
-        "error: enumerating 256 labels takes at least 6144 bytes, "
+        "error: enumerating 256 labels takes at least 8192 bytes, "
         "more than the 4096 bytes of physical memory\n")
     assert not out.exists()
 

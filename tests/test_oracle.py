@@ -746,6 +746,17 @@ def test_failing_closure_class_without_fingerprints_matches_literal_reference(mo
     _failing_class_matches_literal_reference(monkeypatch)
 
 
+@pytest.mark.parametrize("fingerprints", [True, False], ids=["fingerprints", "exact"])
+def test_failing_closure_class_in_one_head_blocks_matches_literal_reference(monkeypatch,
+                                                                           fingerprints):
+    # the doctored class above, with every prefix product taken from a
+    # block of one head, so each head's 256 prefixes span 64 claim chunks
+    monkeypatch.setattr(oracle, "_PREFIX_BLOCK_BYTES", 1)
+    if not fingerprints:
+        _constant_fingerprint(monkeypatch)
+    _failing_class_matches_literal_reference(monkeypatch)
+
+
 def _failing_class_matches_literal_reference(monkeypatch):
     fam = family_context("het", 3, 4)
     stack, order = fam.dense_stack, fam.order
@@ -854,6 +865,51 @@ def test_exhaustive_closure_judges_classes_in_full_batches(monkeypatch):
     assert res.passed and batch == 512
     assert len(sizes) == -(-sum(sizes) // batch) > 1
     assert sizes[:-1] == [batch] * (len(sizes) - 1)
+
+
+@pytest.mark.parametrize("heads", [1, 3])
+@pytest.mark.parametrize("family, n, q", [("elementary", 3, 8), ("full", 4, 4), ("het", 3, 4)])
+def test_exhaustive_closure_in_small_prefix_blocks_judges_the_same_prefixes(
+        monkeypatch, family, n, q, heads):
+    # prefix products taken from blocks of one head or three instead of
+    # the default's many: elementary (3, 8) has 65 labels, so its 512-prefix
+    # chunks cut through heads and blocks; a full (4, 4) head is a pair of
+    # labels, folded before its tall products.  The same prefixes must be
+    # judged, and the results must be identical.  Like the bit-for-bit
+    # class test, this holds only where a tall product's row bits do not
+    # depend on the row's position
+    fam = family_context(family, n, q)
+    judged = _judged_first_prefixes(monkeypatch)
+    want, judged_default = closure_check(family, n, q, mode="exhaustive"), np.concatenate(judged)
+    sizes, real = [], oracle._prefix_blocks
+
+    def prefix_blocks(fam, tuple_len):
+        for block in real(fam, tuple_len):
+            sizes.append(block[1])
+            yield block
+
+    monkeypatch.setattr(oracle, "_prefix_blocks", prefix_blocks)
+    monkeypatch.setattr(oracle, "_PREFIX_BLOCK_BYTES", heads * fam.dense_stack.nbytes)
+    judged.clear()
+    got = closure_check(family, n, q, mode="exhaustive")
+    assert got == want and want.passed
+    assert np.array_equal(np.concatenate(judged), judged_default)
+    # every block but the last holds ``heads`` heads, and the blocks cover
+    # every head once
+    assert max(sizes) == heads and sizes[:-1] == [heads] * (len(sizes) - 1)
+    assert sum(sizes) == fam.order ** (n - 2)
+
+
+def test_exhaustive_closure_holds_one_prefix_block_besides_its_buffers():
+    # het (3, 4) exhaustive, with its context and dense stack held, peaks
+    # at 3.28 MB: a 1.5 MiB block of 24 heads times 256 labels, and about
+    # 1.7 MB of chunk, class-table and judging buffers (the peak is 1.83 MB
+    # with one-head blocks).  A block held only to the tall product's bound
+    # would be 512 heads, 32 MiB
+    closure_check("het", 3, 4, mode="exhaustive")  # the context, its stack and tables
+    res, peak = traced_peak(lambda: closure_check("het", 3, 4, mode="exhaustive"))
+    assert res.passed and oracle._PREFIX_BLOCK_BYTES == 3 << 19
+    assert peak <= oracle._PREFIX_BLOCK_BYTES + 2 ** 21
 
 
 @pytest.mark.parametrize("runs, y, batches", [(257, 400, [0, 1]), (258, 700, [0, 0])],

@@ -82,15 +82,16 @@ def test_family_size_refuses_a_label_count_numpy_cannot_index():
 
 @pytest.mark.parametrize("n", [9, 12])
 def test_enumeration_beyond_physical_memory_is_refused(monkeypatch, n):
-    # het (9, 4) has 16^8 labels and het (12, 4) 16^11; their indices and
-    # codes alone take 309 GB and 1.7 PB as int64.  They are counted, and
-    # on a host of 64 GiB their enumeration is refused by arithmetic alone
+    # het (9, 4) has 16^8 labels and het (12, 4) 16^11; their indices, a
+    # row of digits and their codes alone take 344 GB and 1.8 PB as int64.
+    # They are counted, and on a host of 64 GiB their enumeration is
+    # refused by arithmetic alone
     order = 16 ** (n - 1)
     assert phases.family_size("het", n, 4) == (n, order)
     sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 24}
     monkeypatch.setattr(phases.os, "sysconf", sysconf.__getitem__)
     with pytest.raises(DomainError, match=f"^enumerating {order} labels takes at least "
-                                          f"{8 * order * n} bytes, more than the "
+                                          f"{8 * order * (n + 1)} bytes, more than the "
                                           f"{2 ** 36} bytes of physical memory$"):
         phases._check_enumerable(order, n - 1)
     phases._check_enumerable(16 ** 4, 4)  # het (5, 4) fits
