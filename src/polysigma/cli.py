@@ -103,16 +103,17 @@ def _write_dense_json(fh, fam, tokens, fields, args) -> None:
     sep = "\n"
     for pref, res in _cayley_chunks(fam):
         for ops, row in zip(pref.tolist(), res.tolist()):
-            # the left-to-right product, its prefix shared by the run
+            # the left-to-right products, their prefix shared by the run
             head = fam.dense_stack[ops[0]]
             for i in ops[1:]:
                 head = head @ fam.dense_stack[i]
+            prods = np.matmul(head, fam.dense_stack)
             for last, r in enumerate(row):
                 entry = encode({
                     "operands": [tokens[i] for i in ops] + [tokens[last]],
                     "result": fields[r],
                     "dense": [[[z.real, z.imag] for z in line]
-                              for line in (head @ fam.dense_stack[last]).tolist()],
+                              for line in prods[last].tolist()],
                 })
                 fh.write(sep + "    " + entry.replace("\n", "\n    "))
                 sep = ",\n"

@@ -327,12 +327,13 @@ def _prefix_blocks(fam: _Family, tuple_len: int):
     row-major order.  A head is a prefix without its last factor.  Each
     head's product is folded once, by the per-matrix left fold, and the
     block's heads, stacked to (H*d, d), are multiplied by each label's
-    matrix as one tall product; the H products with label c fill rows
-    c*H .. c*H+H-1 of the (order*H, d, d) block.  H is held to the tall
-    product's bound and to ``_PREFIX_BLOCK_BYTES``, but a block holds at
-    least one head.  With two factors the heads are empty and the one
-    block is the dense stack itself.  Yields (first head, H, block); the
-    block is a buffer, valid until the next one."""
+    matrix as one tall product, issued by numpy's loop from one broadcast
+    matmul, so its bits are those of a matmul per label on any kernel.
+    The H products with label c fill rows c*H .. c*H+H-1 of the
+    (order*H, d, d) block.  H is held to the tall product's bound and to
+    ``_PREFIX_BLOCK_BYTES``, but a block holds at least one head.  Two
+    factors have empty heads and one block, the dense stack itself.
+    Yields (first head, H, block); the block is valid until the next."""
     order, d, stack = fam.order, fam.d, fam.dense_stack
     if tuple_len == 2:
         yield 0, 1, stack
@@ -350,9 +351,7 @@ def _prefix_blocks(fam: _Family, tuple_len: int):
         for t in range(1, tuple_len - 2):
             np.take(stack, head[:, t], axis=0, out=factor, mode="clip")
             acc, spare = np.matmul(acc, factor, out=spare), acc
-        tall, prods = acc.reshape(h * d, d), block[:order * h].reshape(order, h * d, d)
-        for last in range(order):
-            np.matmul(tall, stack[last], out=prods[last])
+        np.matmul(acc.reshape(h * d, d), stack, out=block[:order * h].reshape(order, h * d, d))
         yield first, h, block[:order * h]
 
 

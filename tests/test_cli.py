@@ -289,6 +289,10 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+_HET3_EXHAUSTIVE = ["--family", "het", "--n", "3", "--q", "4", "--mode", "exhaustive"]
+_HET3_EXHAUSTIVE_SHA = "1293b55648bf0515aa95481b8ed1809a2791118c2c066ba4c8c87f6e76f0a1e2"
+
+
 @pytest.mark.parametrize("args, report_sha, junit_sha", [
     (["--family", "pauli", "--q", "4"],
      "bb0baa4dd231f3ebeb6665d74b689aa34402ccb6f057a33f3bcad3948e79240b",
@@ -306,8 +310,7 @@ def _sha256(path):
      "23992fdacaf45ce8cdd5eefd70add0d846c676e3b6dc8886ba1b0a0776b7ee80",
      "b3be602845808dabd2752400b834d984ab317c045541a99f4697c340f8373677"),
     # the benchmark's het3-exhaustive workload
-    (["--family", "het", "--n", "3", "--q", "4", "--mode", "exhaustive"],
-     "1293b55648bf0515aa95481b8ed1809a2791118c2c066ba4c8c87f6e76f0a1e2",
+    (_HET3_EXHAUSTIVE, _HET3_EXHAUSTIVE_SHA,
      "3977469830abb8795d13278cbc46ab30f4b33ff42e2497d29cd512f951757b57"),
 ], ids=["pauli-q4", "elementary-n3-q4", "full-n3-q8-seed7", "het-n3-q4-sample",
         "het-n4-q8", "het-n3-q4-exhaustive"])
@@ -797,8 +800,8 @@ def test_rules_dump(tmp_path, kind):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_module(*args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _run_module(*args, **env):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
     return subprocess.run([sys.executable, "-m", "polysigma", *map(str, args)],
                            capture_output=True, text=True, timeout=120, env=env)
 
@@ -813,6 +816,16 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert run(["verify", "--family", "pauli", "--q", "4", "--out", via_main]) == 0
     assert via_module.read_bytes() == via_main.read_bytes()
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_het3_exhaustive_report_is_pinned_under_other_blas_kernels(tmp_path, coretype):
+    # the criterion 9 report holds the same bytes whichever OpenBLAS kernel
+    # forms the products; the kernel is forced in the child process only
+    out = tmp_path / "r.json"
+    proc = _run_module("verify", *_HET3_EXHAUSTIVE, "--out", out, OPENBLAS_CORETYPE=coretype)
+    assert proc.returncode == 0, proc.stderr
+    assert _sha256(out) == _HET3_EXHAUSTIVE_SHA
 
 
 # ---------------------------------------------------------------------------

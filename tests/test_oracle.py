@@ -900,6 +900,32 @@ def test_exhaustive_closure_in_small_prefix_blocks_judges_the_same_prefixes(
     assert sum(sizes) == fam.order ** (n - 2)
 
 
+@pytest.mark.parametrize("one_head", [False, True], ids=["default-blocks", "one-head-blocks"])
+@pytest.mark.parametrize("family, n, q", [("het", 3, 4), ("full", 4, 4), ("elementary", 3, 8)])
+def test_prefix_blocks_equal_per_label_tall_products(monkeypatch, family, n, q, one_head):
+    # each block's rows for label c are the block's heads, folded left to
+    # right and stacked to one tall matrix, times label c's matrix as one
+    # matmul of its own, bit for bit; a wide product of the heads with
+    # every label's matrix at once rounds some of them otherwise
+    fam = family_context(family, n, q)
+    stack, order, d = fam.dense_stack, fam.order, fam.dense_stack.shape[-1]
+    if one_head:
+        monkeypatch.setattr(oracle, "_PREFIX_BLOCK_BYTES", stack.nbytes)
+    covered = 0
+    for first, h, block in oracle._prefix_blocks(fam, n):
+        assert first == covered and block.shape == (order * h, d, d)
+        head = phases._build_tuples(order, n - 2, first, first + h)
+        acc = stack[head[:, 0]]
+        for t in range(1, n - 2):
+            acc = acc @ stack[head[:, t]]
+        tall = acc.reshape(h * d, d)
+        for c in range(order):
+            want = np.matmul(tall, stack[c]).reshape(h, d, d)
+            assert np.array_equal(block[c * h:(c + 1) * h].view(np.int64), want.view(np.int64))
+        covered += h
+    assert covered == order ** (n - 2)
+
+
 def test_exhaustive_closure_holds_one_prefix_block_besides_its_buffers():
     # het (3, 4) exhaustive, with its context and dense stack held, peaks
     # at 3.28 MB: a 1.5 MiB block of 24 heads times 256 labels, and about
