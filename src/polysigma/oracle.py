@@ -248,34 +248,47 @@ def _fingerprint(words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 class _ClassTable:
     """The exhaustive closure's sweep-wide table of prefix classes, each a
-    distinct pair of (product words, label results).  The first class met
-    with a fingerprint keeps its pair in two arrays that grow in place, one
-    row per class, and its fingerprint in a sorted key array beside its
-    class number.  A chunk's fingerprints find their classes by one
-    ``searchsorted``, those new to the table are numbered by one
-    ``np.unique``, and a prefix is its class's member when both halves of
-    the pair compare equal, in one compare of the whole chunk.  A prefix
-    that fails the compare is looked up by its pair's bytes among the
-    classes that are not first with their fingerprint, which are kept only
-    as such keys."""
+    distinct pair of (product words, label results), in claim order: the
+    row-major order of their first prefixes.  Each class keeps its pair
+    and its first prefix row in arrays that grow in place, one row per
+    class.  The first class met with a fingerprint also keeps its
+    fingerprint in a sorted key array beside its class number.  A chunk's
+    fingerprints find their classes by one ``searchsorted``, those new to
+    the table are numbered by one ``np.unique``, and a prefix is its
+    class's member when both halves of the pair compare equal, in one
+    compare of the whole chunk.  A prefix that fails the compare is looked
+    up by its pair's bytes among the classes that are not first with their
+    fingerprint."""
 
     def __init__(self):
         self.keys = np.empty(0, np.uint64)  # sorted fingerprints of the first classes
-        self.ids = np.empty(0, np.intp)     # each key's class, a row of words and rows
+        self.ids = np.empty(0, np.intp)     # each key's class, a row of the arrays below
         self.others: set[bytes] = set()
-        self.words = self.rows = self.scratch = None
+        self.n = 0                          # classes claimed; the arrays have spare rows
+        self.firsts = self.words = self.rows = None
 
-    def claim(self, words: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Chunk-local indices, in order, of the prefixes whose (``words``,
-        ``rows``) pair is new to the sweep, each the first of its class; the
-        table then holds their classes."""
-        p, known = len(words), len(self.keys)
-        if self.scratch is None:  # every chunk but the last is as long as the first
+    def _store(self, start: int, new: np.ndarray, words: np.ndarray, rows: np.ndarray):
+        """Write the classes of chunk-local prefixes ``new`` after the ``n``
+        claimed, growing the arrays in place, by realloc, with 1/16 to
+        spare; refcheck would refuse under a profiler, and every view of
+        them is dropped in the statement that makes it."""
+        at, end = self.n, self.n + len(new)
+        if end > len(self.firsts):
+            for a in (self.firsts, self.words, self.rows):
+                a.resize((end + end // 16, *a.shape[1:]), refcheck=False)
+        self.firsts[at:end] = start + new
+        self.words[at:end], self.rows[at:end] = words[new], rows[new]
+
+    def claim(self, start: int, words: np.ndarray, rows: np.ndarray):
+        """Add the classes new to the sweep of the chunk whose first prefix
+        row is ``start``, with prefix product ``words`` and label results
+        ``rows``, in the row order of their first prefixes."""
+        p, known = len(words), self.n
+        if self.words is None:
+            self.firsts = np.empty(0, np.intp)
             self.words = np.empty((0, words.shape[1]), np.uint64)
             self.rows = np.empty((0, rows.shape[1]), rows.dtype)
-            self.scratch = (np.empty(words.shape, np.uint64), np.empty(words.shape, bool),
-                            np.empty(rows.shape, rows.dtype), np.empty(rows.shape, bool))
-        wbuf, wsame, rbuf, rsame = (b[:p] for b in self.scratch)
+        wbuf, rbuf = np.empty_like(words), np.empty_like(rows)
         prints = _fingerprint(words, wbuf)
         at = np.searchsorted(self.keys, prints)
         if known:
@@ -283,43 +296,42 @@ class _ClassTable:
             miss = np.flatnonzero(self.keys.take(at, mode="clip") != prints)
         else:
             ids, miss = np.empty(p, np.intp), np.arange(p)
-        fresh = miss[:0]
+        new = miss[:0]
         if len(miss):
             # the fingerprints new to the table, each once; their classes are
             # numbered in the order the fingerprints are first met
-            new, first, inverse = np.unique(prints[miss], return_index=True,
-                                            return_inverse=True)
-            cls = np.empty(len(new), np.intp)
-            cls[np.argsort(first)] = np.arange(known, known + len(new))
+            keys, first, inverse = np.unique(prints[miss], return_index=True,
+                                             return_inverse=True)
+            cls = np.empty(len(keys), np.intp)
+            cls[np.argsort(first)] = np.arange(known, known + len(keys))
             ids[miss] = cls[inverse]
-            fresh = miss[np.sort(first)]
-            # new is sorted, so inserting it keeps the keys sorted
-            self.keys = np.insert(self.keys, at[miss[first]], new)
+            new = miss[np.sort(first)]
+            # keys is sorted, so inserting it keeps the keys sorted
+            self.keys = np.insert(self.keys, at[miss[first]], keys)
             self.ids = np.insert(self.ids, at[miss[first]], cls)
-            if len(self.keys) > len(self.words):
-                # in place, by realloc, with 1/16 to spare; refcheck would
-                # refuse under a profiler, and no view of either array
-                # outlives a statement of this method
-                grown = len(self.keys) + len(self.keys) // 16
-                self.words.resize((grown, words.shape[1]), refcheck=False)
-                self.rows.resize((grown, rows.shape[1]), refcheck=False)
-            self.words[known:len(self.keys)] = words[fresh]
-            self.rows[known:len(self.keys)] = rows[fresh]
+            self._store(start, new, words, rows)
         # the gathers never clip: ids holds class rows
         np.take(self.words, ids, axis=0, out=wbuf, mode="clip")
         np.take(self.rows, ids, axis=0, out=rbuf, mode="clip")
-        np.equal(wbuf, words, out=wsame)
-        np.equal(rbuf, rows, out=rsame)
-        if wsame.all() and rsame.all():
-            return fresh
-        judge = np.zeros(p, dtype=bool)
-        judge[fresh] = True
-        for i in np.flatnonzero(~(wsame.all(axis=1) & rsame.all(axis=1))).tolist():
-            key = words[i].tobytes() + rows[i].tobytes()
-            if key not in self.others:
-                self.others.add(key)
-                judge[i] = True
-        return np.flatnonzero(judge)
+        wsame, rsame = wbuf == words, rbuf == rows
+        if not (wsame.all() and rsame.all()):
+            claimed = np.zeros(p, dtype=bool)
+            claimed[new] = True
+            for i in np.flatnonzero(~(wsame.all(axis=1) & rsame.all(axis=1))).tolist():
+                key = words[i].tobytes() + rows[i].tobytes()
+                if key not in self.others:
+                    self.others.add(key)
+                    claimed[i] = True
+            if claimed.sum() > len(new):
+                # a class that shares its fingerprint with an earlier one is
+                # new: the chunk's new classes are written again in row
+                # order, and the keys of those first with their fingerprint
+                # renumbered
+                fresh, new = new, np.flatnonzero(claimed)
+                late = self.ids >= known
+                self.ids[late] = known + np.searchsorted(new, fresh)[self.ids[late] - known]
+                self._store(start, new, words, rows)
+        self.n = known + len(new)
 
 
 def _prefix_blocks(fam: _Family, tuple_len: int):
@@ -356,22 +368,15 @@ def _prefix_blocks(fam: _Family, tuple_len: int):
 
 
 def _closure_claims(fam: _Family, tuple_len: int, chunks):
-    """The exhaustive closure's chunks in flat row-major order, each with the
-    prefixes it claims; start and stop are multiples of the label count, so
-    a chunk is whole runs that each share their leading tuple_len-1 factors.
-    Every prefix's literal product is taken from its block of heads
-    (``_prefix_blocks``), and its label results with every last label are
-    computed by the kernel, in buffers reused from chunk to chunk.  With
-    three or more factors a prefix is claimed only when its (product bits,
-    label results) pair is new to the sweep: the pairs are claimed here, in
-    chunk order, in a ``_ClassTable`` that finds most prefixes' classes by
-    a 64-bit fingerprint of the product and confirms each by a full compare
-    of the pair.  With two factors every prefix is claimed.  Yields (the
-    chunk's first prefix, chunk-local indices of the claimed prefixes, every
-    prefix's product, every prefix's label results); the two stacks are the
-    buffers, valid until the next chunk."""
+    """The exhaustive closure's chunks in flat row-major order; start and
+    stop are multiples of the label count, so a chunk is whole runs that
+    each share their leading tuple_len-1 factors.  Every prefix's literal
+    product is taken from its block of heads (``_prefix_blocks``), and its
+    label results with every last label are computed by the kernel, in
+    buffers reused from chunk to chunk.  Yields (the chunk's first prefix
+    row, every prefix's product as (P, 2*d*d) words, every prefix's label
+    results); the two are the buffers, valid until the next chunk."""
     order, stack = fam.order, fam.dense_stack
-    table = _ClassTable() if tuple_len > 2 else None
     blocks = _prefix_blocks(fam, tuple_len)
     first = size = 0  # the current block's first head and head count
     prods = out = None
@@ -397,18 +402,14 @@ def _closure_claims(fam: _Family, tuple_len: int, chunks):
             row = end
         # a wrapped kernel may ignore out, so its result is what counts
         res = fam.index_mult(pref, every_last=True, out=out[:, :p])
-        if table is None:
-            at = np.arange(p)
-        else:
-            at = table.claim(acc.reshape(p, -1).view(np.uint64), res)
-        yield start, at, acc, res
+        yield start, acc.reshape(p, -1).view(np.uint64), res
 
 
 def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
                       res: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Judge the P classes whose first prefixes are rows ``at`` of the
-    sweep, with products ``acc`` and label results ``res``
-    (``_JudgingQueue``), against every last label.  This is what
+    sweep, with products ``acc`` and label results ``res`` (from the
+    ``_ClassTable``), against every last label.  This is what
     "exhaustive" means for a closure: every prefix's literal product is
     computed, and each distinct (product, label results) pair is judged
     against every last label once; each tuple's judged product is still its
@@ -452,76 +453,47 @@ def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
     return worst, np.where(lasts < 0, -1, at * order + lasts)
 
 
-class _JudgingQueue:
-    """Classes claimed by the exhaustive closure and not yet judged, at
-    most ``size`` of them, in the order they were claimed: each class's
-    first prefix row, its claim chunk, its product and its label results.
-    A full queue is judged by one ``_closure_on_range`` call, and so is the
-    rest at the end.  Each class's worst deviation and first bad tuple are
-    folded into the sweep's; once a class fails, only classes claimed in
-    its chunk or before count (``stop``), so a failure's worst deviation
-    covers exactly the chunks up to its own."""
-
-    def __init__(self, fam: _Family, size: int, tol: float):
-        self.fam, self.size, self.tol, self.n = fam, size, tol, 0
-        self.rows = self.chunks = self.acc = self.res = None
-        self.worst, self.first, self.stop = 0.0, None, None
-
-    def put(self, chunk: int, start: int, at: np.ndarray, acc: np.ndarray, res: np.ndarray):
-        """Queue the classes claimed at chunk-local indices ``at`` of chunk
-        ``chunk``, whose first prefix row is ``start``, judging the queue
-        each time it fills."""
-        while len(at):
-            if not self.n:
-                self.rows, self.chunks = np.empty((2, self.size), np.intp)
-                self.acc = np.empty((self.size, *acc.shape[1:]), acc.dtype)
-                self.res = np.empty((self.size, res.shape[1]), res.dtype)
-            part, at = at[:self.size - self.n], at[self.size - self.n:]
-            to = slice(self.n, self.n + len(part))
-            self.rows[to], self.chunks[to] = start + part, chunk
-            np.take(acc, part, axis=0, out=self.acc[to], mode="clip")
-            np.take(res, part, axis=0, out=self.res[to], mode="clip")
-            self.n += len(part)
-            if self.n == self.size:
-                self.judge()
-
-    def judge(self):
-        """Judge the queued classes and empty the queue; the judged arrays
-        are handed over, and the next class queued gets new ones."""
-        n, self.n = self.n, 0
-        if not n:
-            return
-        chunks = self.chunks[:n]
-        worsts, bads = _closure_on_range(self.fam, self.rows[:n], self.acc[:n],
-                                         self.res[:n], self.tol)
-        failed = bads >= 0
-        if self.stop is None and failed.any():
-            # classes are claimed in row-major order of their first
-            # prefixes, so the first failing one holds the first bad tuple
-            i = np.argmax(failed)
-            self.first, self.stop = int(bads[i]), int(chunks[i])
-        if self.stop is not None:
-            worsts = worsts[chunks <= self.stop]
-        self.worst = float(np.maximum(self.worst, worsts.max(initial=0.0)))  # a NaN stays NaN
-
-
 def _closure_sweep(fam: _Family, tuple_len: int, total: int,
                    tol: float) -> tuple[float, int | None]:
     """The exhaustive closure's worst deviation and first bad tuple, or
-    None.  Prefixes are claimed in chunks of ``runs`` prefixes and their
-    classes judged in batches of up to ``batch``, both held to the tall
-    product's bound; after the first failure, claiming stops past the
-    failing chunk, and the classes claimed up to it are still judged."""
-    batch = max(1, _TALL_MNK // fam.d ** 3)
-    runs = max(1, min(_CHUNK // fam.order, batch))
-    queue = _JudgingQueue(fam, batch, tol)
-    claims = _closure_claims(fam, tuple_len, phases._chunk_ranges(total, runs * fam.order))
-    for chunk, (start, at, acc, res) in enumerate(claims):
-        if queue.stop is not None and chunk > queue.stop:
+    None.  Prefixes are claimed into a ``_ClassTable`` in chunks of
+    ``runs`` prefixes, and its classes are judged in claim order, in
+    batches of ``batch`` and the rest at the end; both are held to the
+    tall product's bound.  Classes are claimed in row-major order of their
+    first prefixes, so the first failing one holds the first bad tuple.
+    After it, claiming stops past the failing chunk, the classes claimed up
+    to it are still judged, and only classes first met in that chunk or
+    before count, so the worst deviation covers exactly those chunks."""
+    order, d = fam.order, fam.d
+    batch = max(1, _TALL_MNK // d ** 3)
+    runs = max(1, min(_CHUNK // order, batch))
+    table, judged, worst, first = _ClassTable(), 0, 0.0, None
+    end = total // order  # prefix rows that count: every one, or up to the failing chunk's end
+
+    def judge(size: int):
+        nonlocal judged, worst, first, end
+        # copies: the table's arrays move when they grow
+        rows, words, res = (a[judged:judged + size].copy()
+                            for a in (table.firsts, table.words, table.rows))
+        judged += size
+        worsts, bads = _closure_on_range(fam, rows, words.view(np.complex128).reshape(-1, d, d),
+                                         res, tol)
+        failed = bads >= 0
+        if first is None and failed.any():
+            i = np.argmax(failed)
+            first, end = int(bads[i]), (int(rows[i]) // runs + 1) * runs
+        worst = float(np.maximum(worst, worsts[rows < end].max(initial=0.0)))  # a NaN stays NaN
+
+    for start, words, res in _closure_claims(fam, tuple_len,
+                                             phases._chunk_ranges(total, runs * order)):
+        if start >= end:
             break
-        queue.put(chunk, start, at, acc, res)
-    queue.judge()
-    return queue.worst, queue.first
+        table.claim(start, words, res)
+        while table.n - judged >= batch:
+            judge(batch)
+    if table.n > judged:
+        judge(table.n - judged)
+    return worst, first
 
 
 def _assoc_on_tuples(fam: _Family, idx: np.ndarray) -> tuple[float, int | None]:

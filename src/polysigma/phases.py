@@ -459,15 +459,19 @@ def _check_enumerable(order: int, m: int) -> None:
 
 def family_slots(name: str, n: int, q: int, index=None) -> np.ndarray:
     """(m, k) slot codes of the family's labels at the canonical indices
-    ``index`` (every label by default, if memory can hold them).  The
-    canonical order runs over the sigma indices, then the elementary
-    position, then the phase indices, first slot most significant; the
-    elementary zero comes last."""
+    ``index`` (every label by default, if memory can hold them); an index
+    outside [0, order) is refused.  The canonical order runs over the sigma
+    indices, then the elementary position, then the phase indices, first
+    slot most significant; the elementary zero comes last."""
     n, order = family_size(name, n, q)
     m = 1 if name in ("pauli", "full") else n - 1
     if index is None:
         _check_enumerable(order, m)
-    index = np.arange(order) if index is None else np.asarray(index, dtype=np.int64)
+        index = np.arange(order)
+    else:
+        index = np.asarray(index, dtype=np.int64)
+        if ((index < 0) | (index >= order)).any():
+            raise DomainError(f"label indices must be in [0, {order})")
     if name == "elementary":
         j, k, r = np.unravel_index(np.minimum(index, order - 2), (4, n - 1, q))
         live = (np.arange(n - 1)[:, None] == k) & (index < order - 1)

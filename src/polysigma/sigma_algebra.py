@@ -52,8 +52,15 @@ def _check_position(n: int, k: int) -> None:
         raise DomainError(f"block position must be 1..{n - 1}, got {k}")
 
 
+class _Lowered:
+    """A Sigma-class value lowers through its ``BlockCyclicMatrix``."""
+
+    def dense(self) -> np.ndarray:
+        return self.matrix().dense()
+
+
 @dataclass(frozen=True)
-class ElementarySigma:
+class ElementarySigma(_Lowered):
     """Single sigma_j block at cyclic position k; nilpotent block matrix unit."""
 
     arity: int
@@ -70,12 +77,9 @@ class ElementarySigma:
         blocks[self.k - 1] = sigma(self.j)
         return BlockCyclicMatrix(self.arity, tuple(blocks))
 
-    def dense(self) -> np.ndarray:
-        return self.matrix().dense()
-
 
 @dataclass(frozen=True)
-class FullSigma:
+class FullSigma(_Lowered):
     """Sum of the elementary matrices with one sigma index over all positions;
     index 0 gives the distinguished polyadic identity E."""
 
@@ -88,12 +92,9 @@ class FullSigma:
     def matrix(self) -> BlockCyclicMatrix:
         return BlockCyclicMatrix(self.arity, (sigma(self.j),) * (self.arity - 1))
 
-    def dense(self) -> np.ndarray:
-        return self.matrix().dense()
-
 
 @dataclass(frozen=True)
-class HetSigma:
+class HetSigma(_Lowered):
     """Cyclic-shift matrix with an independently chosen sigma index per block."""
 
     arity: int
@@ -111,15 +112,12 @@ class HetSigma:
     def matrix(self) -> BlockCyclicMatrix:
         return BlockCyclicMatrix(self.arity, tuple(sigma(j) for j in self.js))
 
-    def dense(self) -> np.ndarray:
-        return self.matrix().dense()
-
     def is_homogeneous(self) -> bool:
         return len(set(self.js)) == 1
 
 
 @dataclass(frozen=True)
-class ParamBlockMatrix:
+class ParamBlockMatrix(_Lowered):
     """Cyclic-shift matrix of scalar parameters x_j(k), one real per block.
 
     ``dense()`` places each scalar on an all-ones 2x2 block so that the
@@ -141,9 +139,6 @@ class ParamBlockMatrix:
     def matrix(self) -> BlockCyclicMatrix:
         ones = np.ones((2, 2), dtype=np.complex128)
         return BlockCyclicMatrix(self.arity, tuple(x * ones for x in self.xs))
-
-    def dense(self) -> np.ndarray:
-        return self.matrix().dense()
 
 
 def elementary(n: int, j: int, k: int) -> BlockCyclicMatrix:

@@ -843,7 +843,9 @@ def test_exhaustive_closure_with_two_bit_fingerprints_judges_the_same_prefixes(
     # four fingerprints for the whole sweep: a chunk's prefixes mix classes
     # found by their fingerprint with classes that share one with an
     # earlier class and are found by their exact key; the same prefixes
-    # must be judged, and the results must be identical
+    # must be judged, and the results must be identical.  The witness is
+    # the first failing class judged, so the judged first prefixes must
+    # rise strictly across the sweep
     judged = _judged_first_prefixes(monkeypatch)
     want = closure_check(family, n, q, mode="exhaustive")
     real, judged_real = oracle._fingerprint, np.concatenate(judged)
@@ -852,7 +854,8 @@ def test_exhaustive_closure_with_two_bit_fingerprints_judges_the_same_prefixes(
     judged.clear()
     got = closure_check(family, n, q, mode="exhaustive")
     assert got == want and want.passed
-    assert np.array_equal(np.concatenate(judged), judged_real)
+    judged = np.concatenate(judged)
+    assert np.array_equal(judged, judged_real) and (np.diff(judged) > 0).all()
 
 
 def test_exhaustive_closure_judges_classes_in_full_batches(monkeypatch):
@@ -928,10 +931,11 @@ def test_prefix_blocks_equal_per_label_tall_products(monkeypatch, family, n, q, 
 
 def test_exhaustive_closure_holds_one_prefix_block_besides_its_buffers():
     # het (3, 4) exhaustive, with its context and dense stack held, peaks
-    # at 3.28 MB: a 1.5 MiB block of 24 heads times 256 labels, and about
-    # 1.7 MB of chunk, class-table and judging buffers (the peak is 1.83 MB
-    # with one-head blocks).  A block held only to the tall product's bound
-    # would be 512 heads, 32 MiB
+    # at 3.10 MB: a 1.5 MiB block of 24 heads times 256 labels, and about
+    # 1.5 MB of chunk buffers, the class table with one claim's compare
+    # buffers, and one batch's copies and judging buffers (the peak is
+    # 1.79 MB with one-head blocks).  A block held only to the tall
+    # product's bound would be 512 heads, 32 MiB
     closure_check("het", 3, 4, mode="exhaustive")  # the context, its stack and tables
     res, peak = traced_peak(lambda: closure_check("het", 3, 4, mode="exhaustive"))
     assert res.passed and oracle._PREFIX_BLOCK_BYTES == 3 << 19

@@ -783,6 +783,9 @@ def test_family_slots_follow_the_digit_formula(family, n, q):
     assert codes.dtype == np.int64 and np.array_equal(codes, want)
     picked = [0, order // 3, order - 1]
     assert np.array_equal(phases.family_slots(family, n, q, picked), want[:, picked])
+    for outside in ([-1], [order]):
+        with pytest.raises(DomainError, match="must be in"):
+            phases.family_slots(family, n, q, outside)
 
 
 def test_family_slots_hold_little_besides_their_result():
