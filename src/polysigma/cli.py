@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import oracle, phases, sigma_algebra, su2
+from . import oracle, phases
 from .errors import BudgetExceededError, DomainError
 from .matrices import DEFAULT_TOL, BlockCyclicMatrix, sigma
 from .phases import Q12
@@ -183,6 +183,8 @@ def cmd_verify(args) -> int:
 
 
 def _param_mul_one(elems: list[su2.PolyadicSU2Element], n: int):
+    from . import su2
+
     if n == 2:
         p, q = elems[0].params[0], elems[1].params[0]
         result = su2.binary_param_mul(p, q)
@@ -201,6 +203,8 @@ def _param_mul_one(elems: list[su2.PolyadicSU2Element], n: int):
 
 
 def cmd_param_mul(args) -> int:
+    from . import su2
+
     oracle._check_tolerance(args.tol)
     n = args.n
     if args.random is not None:
@@ -257,17 +261,19 @@ def _read_json(path: str):
             raise DomainError(f"malformed input ({exc})") from None
 
 
-def _relaxed_element(data) -> BlockCyclicMatrix:
-    """Cyclic block matrix from {"arity", "blocks"} without the unit-norm
-    check, so identity-coefficient elements are accepted."""
-    arity, coeffs = su2.parse_element(data)
+def _relaxed_element(arity: int, coeffs) -> BlockCyclicMatrix:
+    """Cyclic block matrix of ``su2.parse_element``'s arity and block
+    coefficients, without the unit-norm check, so identity-coefficient
+    elements are accepted."""
     return BlockCyclicMatrix(arity, tuple(
         x0 * sigma(0) + 1j * (x1 * sigma(1) + x2 * sigma(2) + x3 * sigma(3))
         for x0, x1, x2, x3 in coeffs))
 
 
 def cmd_trace(args) -> int:
-    mat = _relaxed_element(_read_json(args.infile))
+    from . import su2
+
+    mat = _relaxed_element(*su2.parse_element(_read_json(args.infile)))
     with np.errstate(over="ignore", invalid="ignore"):
         # the ordinary trace, read from the blocks: the dense form's diagonal
         # is the one block's at arity 2, and zero beyond it, where every
@@ -296,6 +302,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_rules(args) -> int:
+    from . import sigma_algebra
+
     count = sigma_algebra.write_rule_csv(args.out, args.kind)
     print(f"wrote {count} rows to {args.out}")
     return 0

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -25,7 +24,6 @@ import numpy as np
 from . import phases
 from .errors import BudgetExceededError, DomainError
 from .matrices import DEFAULT_TOL, BlockCyclicMatrix
-from .su2 import PolyadicSU2Element, SU2Params, binary_su2_matrix
 
 DEFAULT_BUDGET = 30_000_000
 
@@ -38,6 +36,8 @@ def worker_count() -> int:
 
 def lower(obj) -> np.ndarray:
     """Dense realization of a symbolic label or block element."""
+    from .su2 import PolyadicSU2Element, SU2Params
+
     if isinstance(obj, BlockCyclicMatrix):
         return obj.dense()
     if isinstance(obj, PolyadicSU2Element):
@@ -144,6 +144,8 @@ class SweepSummary:
 
 def summaries_to_junit(summaries: Sequence[SweepSummary]) -> str:
     """JUnit-style XML for CI consumption."""
+    import xml.etree.ElementTree as ET
+
     suite = ET.Element(
         "testsuite",
         name="polysigma.oracle",
@@ -427,9 +429,9 @@ def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
     fails with none."""
     order, d, stack = fam.order, fam.d, fam.dense_stack
     tall = acc.reshape(-1, d)
-    # take converts a column of narrow results to intp on every call, so
-    # convert them once, to one contiguous row per last label
-    results = np.ascontiguousarray(res.T, dtype=np.intp)
+    # one contiguous row per last label, in the results' narrow dtype:
+    # each take converts only its own row to intp
+    results = np.ascontiguousarray(res.T)
 
     def deviations():
         """Each last label, with the entrywise deviations of its P tuples
@@ -745,6 +747,8 @@ class VerificationOutcome:
 
 
 def _case_lower(family: str, obj) -> np.ndarray:
+    from .su2 import SU2Params, binary_su2_matrix
+
     if family == "su2-params" and isinstance(obj, SU2Params):
         return binary_su2_matrix(obj)
     return lower(obj)

@@ -3,6 +3,7 @@ traces, exit codes, determinism."""
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polysigma
 from polysigma import cli, oracle, phases
 from polysigma.cli import _result_fields, main
 from polysigma.oracle import family_context
@@ -816,6 +818,50 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert run(["verify", "--family", "pauli", "--q", "4", "--out", via_main]) == 0
     assert via_module.read_bytes() == via_main.read_bytes()
+
+
+#: the package's public names, by the module each lives in
+_PUBLIC = {
+    "errors": ["ArityError", "BudgetExceededError", "DomainError", "ValidationError"],
+    "matrices": ["BlockCyclicMatrix", "det", "hadamard", "hermitian", "mat_mul", "sigma",
+                 "trace"],
+    "phases": ["Q12", "ElementaryLabel", "FullLabel", "HetLabel", "PauliLabel",
+               "StructureReport", "ZeroLabel", "build_elementary_semigroup",
+               "build_full_group", "build_het_group", "build_pauli_group",
+               "elementary_nary_mul", "full_nary_mul", "full_querelement", "het_nary_mul",
+               "het_querelement", "levi_civita", "pauli_mul", "root_of_unity"],
+    "sigma_algebra": ["ElementarySigma", "FullSigma", "HetSigma", "elementary", "full", "het",
+                      "reduce_sigma_word"],
+    "su2": ["PolyadicSU2Element", "SU2Params", "binary_param_mul", "identity_element",
+            "invariant_i2", "nary_product", "polyadic_identity", "polyadic_trace",
+            "querelement", "ternary_param_mul"],
+}
+
+
+def test_a_verify_start_imports_only_what_verify_runs():
+    # the package resolves its names on first use, so a fresh start that
+    # imports cli and oracle, as verify and cayley do, loads neither su2,
+    # sigma_algebra nor xml; importing the package alone loads no module,
+    # and a submodule is still one attribute away
+    code = ("import json, sys\n"
+            "import polysigma\n"
+            "bare = sorted(m for m in sys.modules if m.startswith('polysigma.'))\n"
+            "via_attribute = polysigma.phases.__name__\n"
+            "from polysigma import cli, oracle\n"
+            "print(json.dumps([bare, via_attribute, sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    bare, via_attribute, loaded = json.loads(proc.stdout)
+    assert bare == [] and via_attribute == "polysigma.phases"
+    assert not {"polysigma.su2", "polysigma.sigma_algebra", "xml.etree"} & set(loaded)
+    assert sorted(polysigma.__all__) == sorted(
+        [name for names in _PUBLIC.values() for name in names] + ["__version__"])
+    for home, names in _PUBLIC.items():
+        module = importlib.import_module(f"polysigma.{home}")
+        for name in names:
+            assert getattr(polysigma, name) is getattr(module, name), name
+    assert not hasattr(polysigma, "no_such_name")
 
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])

@@ -942,6 +942,21 @@ def test_exhaustive_closure_holds_one_prefix_block_besides_its_buffers():
     assert peak <= oracle._PREFIX_BLOCK_BYTES + 2 ** 21
 
 
+def test_exhaustive_closure_judges_results_in_their_narrow_dtype():
+    # pauli (2, 360) is judged in one batch of 1,440 classes with 1,440
+    # uint16 label results each, 4.1 MB; widened to intp for judging they
+    # were 16.6 MB, and the check peaked at 33.0 MiB against 21.1 MiB in
+    # their own dtype; the bound sits between the two.  The worst
+    # deviation's bits follow the BLAS kernel (2.198e-15 on SkylakeX,
+    # 2.144e-15 on Haswell and Prescott), so only its size is held
+    res, peak = traced_peak(lambda: closure_check(
+        "pauli", 2, 360, mode="exhaustive", budget=3_000_000))
+    assert dataclasses.replace(res, max_abs_deviation=0.0) == oracle.CheckResult(
+        True, True, 2_073_600, 2_073_600, 0.0, None)
+    assert 0.0 < res.max_abs_deviation < 1e-14
+    assert peak <= 27 * 2 ** 20
+
+
 @pytest.mark.parametrize("runs, y, batches", [(257, 400, [0, 1]), (258, 700, [0, 0])],
                          ids=["chunk-past-its-batch", "batch-past-its-chunk"])
 def test_failing_class_near_batch_ends_matches_literal_reference(monkeypatch, runs, y, batches):
