@@ -8,6 +8,7 @@ Identical seed and configuration produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -148,13 +149,17 @@ def cmd_cayley(args) -> int:
 
 def cmd_verify(args) -> int:
     kwargs = dict(seed=args.seed, tol=args.tol, mode=args.mode)
+    # --mode exhaustive bounds every exhaustive sweep by --budget; auto keeps
+    # the builders' associativity budgets
+    assoc = dict(assoc_budget=args.budget) if args.mode == "exhaustive" else {}
     if args.family == "pauli":
-        report = phases.build_pauli_group(args.q, closure_budget=args.budget, **kwargs)
+        report = phases.build_pauli_group(args.q, closure_budget=args.budget, **assoc, **kwargs)
     elif args.family == "elementary":
         report = phases.build_elementary_semigroup(
             args.n, args.q, closure_budget=args.budget, **kwargs)
     elif args.family == "full":
-        report = phases.build_full_group(args.n, args.q, closure_budget=args.budget, **kwargs)
+        report = phases.build_full_group(args.n, args.q, closure_budget=args.budget,
+                                         **assoc, **kwargs)
     else:
         report = phases.build_het_group(args.n, args.q, cap=args.budget, **kwargs)
     text = report.to_json()
@@ -183,23 +188,20 @@ def cmd_verify(args) -> int:
 
 
 def _param_mul_one(elems: list[su2.PolyadicSU2Element], n: int):
+    """The closed-form product of one tuple, as an element, and its
+    deviation from the literal product of the operands' dense forms."""
     from . import su2
 
     if n == 2:
-        p, q = elems[0].params[0], elems[1].params[0]
-        result = su2.binary_param_mul(p, q)
-        dense = su2.binary_su2_matrix(p) @ su2.binary_su2_matrix(q)
-        dev = float(np.abs(dense - su2.binary_su2_matrix(result)).max())
+        operands = [e.params[0] for e in elems]
+        result = su2.binary_param_mul(*operands)
         out = su2.PolyadicSU2Element(2, (result,))
     else:  # n == 3, the only other --n
-        pairs = [tuple(e.params) for e in elems]
-        result = su2.ternary_param_mul(*pairs)
-        out = su2.PolyadicSU2Element(3, result)
-        dense = elems[0].matrix().dense()
-        for e in elems[1:]:
-            dense = dense @ e.matrix().dense()
-        dev = float(np.abs(dense - out.matrix().dense()).max())
-    return out, dev
+        operands = elems
+        result = out = su2.PolyadicSU2Element(3, su2.ternary_param_mul(
+            *(e.params for e in elems)))
+    dense = functools.reduce(np.matmul, [o.dense() for o in operands])
+    return out, float(np.abs(dense - result.dense()).max())
 
 
 def cmd_param_mul(args) -> int:

@@ -6,9 +6,11 @@ integers; the matrices here are plain ``numpy`` ``complex128`` arrays and are
 only ever compared within explicit tolerances.
 
 The cyclic-shift geometry lives here, for matrices and labels alike: where
-block s sits (``cyclic_dense``; ``phases.lower_slots`` places label blocks
-at the same positions), which factor blocks a product's block s multiplies
-(``cyclic_fold``) and which factor counts close (``check_factor_count``).
+block s sits (``cyclic_dense``, the one implementation of the placement:
+``BlockCyclicMatrix.dense`` and the row table that ``phases.lower_slots``
+gathers from are both built by it), which factor blocks a product's block s
+multiplies (``cyclic_fold``) and which factor counts close
+(``check_factor_count``).
 """
 
 from __future__ import annotations
@@ -187,3 +189,10 @@ class BlockCyclicMatrix:
         if self.arity != other.arity:
             return False
         return all(allclose(a, b, tol) for a, b in zip(self.blocks, other.blocks))
+
+
+class _Lowered:
+    """A value that lowers through its ``BlockCyclicMatrix``."""
+
+    def dense(self) -> np.ndarray:
+        return self.matrix().dense()

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import phases
 from .errors import BudgetExceededError, DomainError
-from .matrices import DEFAULT_TOL, BlockCyclicMatrix
+from .matrices import DEFAULT_TOL
 
 DEFAULT_BUDGET = 30_000_000
 
@@ -35,19 +35,11 @@ def worker_count() -> int:
 
 
 def lower(obj) -> np.ndarray:
-    """Dense realization of a symbolic label or block element."""
-    from .su2 import PolyadicSU2Element, SU2Params
-
-    if isinstance(obj, BlockCyclicMatrix):
-        return obj.dense()
-    if isinstance(obj, PolyadicSU2Element):
-        return obj.matrix().dense()
-    if isinstance(obj, SU2Params):
-        return obj.block()
+    """The dense form of a label, Sigma class or SU(2) value: its ``dense()``."""
     dense = getattr(obj, "dense", None)
-    if callable(dense):
-        return dense()
-    raise DomainError(f"cannot lower {type(obj).__name__} to a dense matrix")
+    if not callable(dense):
+        raise DomainError(f"cannot lower {type(obj).__name__} to a dense matrix")
+    return dense()
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +713,8 @@ def het_querelement_inverse_check(q: int) -> float:
 
 @dataclass(frozen=True)
 class VerificationCase:
-    """One adjudication: operands, the claimed symbolic result, a tolerance."""
+    """One adjudication: operands, the claimed symbolic result, a tolerance.
+    ``family`` names the case; every value lowers through its ``dense()``."""
 
     family: str
     operands: tuple
@@ -746,25 +739,15 @@ class VerificationOutcome:
     witness: tuple | None
 
 
-def _case_lower(family: str, obj) -> np.ndarray:
-    from .su2 import SU2Params, binary_su2_matrix
-
-    if family == "su2-params" and isinstance(obj, SU2Params):
-        return binary_su2_matrix(obj)
-    return lower(obj)
-
-
 def verify(case: VerificationCase) -> VerificationOutcome:
     """Compare the lowered expected result against the literal dense product
     of the lowered operands, entrywise."""
-    mats = [_case_lower(case.family, o) for o in case.operands]
+    mats = [lower(o) for o in case.operands]
     dims = {m.shape for m in mats}
     if len(dims) != 1:
         raise DomainError(f"inconsistent operand dimensions: {sorted(dims)}")
-    prod = mats[0]
-    for m in mats[1:]:
-        prod = prod @ m
-    expected = _case_lower(case.family, case.expected)
+    prod = functools.reduce(np.matmul, mats)
+    expected = lower(case.expected)
     if expected.shape != prod.shape:
         raise DomainError("expected result has inconsistent dimension")
     dev = float(np.abs(prod - expected).max())

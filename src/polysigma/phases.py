@@ -27,7 +27,7 @@ from typing import Callable, ClassVar, Iterable, Sequence
 import numpy as np
 
 from .errors import ArityError, DomainError, ValidationError
-from .matrices import DEFAULT_TOL, check_factor_count, cyclic_fold, sigma
+from .matrices import DEFAULT_TOL, check_factor_count, cyclic_dense, cyclic_fold, sigma
 
 #: the twelve admissible phase moduli.
 Q12 = (4, 8, 12, 20, 24, 36, 40, 60, 72, 120, 180, 360)
@@ -114,14 +114,12 @@ def _block_table(q: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _row_table(n: int, q: int) -> np.ndarray:
     """((4q+1)*(n-1), 4(n-1)) read-only row pairs of the dense forms: row
-    code*(n-1) + s is rows 2s and 2s+1 of a form whose block s has code
-    ``code``, that block at block column s+1 mod n-1 and zeros elsewhere.
-    It holds (4q+1)*(2n-2)^2 entries of 16 bytes: 19 KB at (4, 8), 5.9 MB
-    at (9, 360), so only the last few are kept."""
-    m = n - 1
-    table = np.zeros((4 * q + 1, m, 2, m, 2), dtype=np.complex128)
-    for s in range(m):
-        table[:, s, :, (s + 1) % m, :] = _block_table(q)
+    code*(n-1) + s is rows 2s and 2s+1 of the form (``cyclic_dense``) whose
+    every block has code ``code``, so block s at block column s+1 mod n-1
+    and zeros elsewhere.  It holds (4q+1)*(2n-2)^2 entries of 16 bytes:
+    19 KB at (4, 8), 5.9 MB at (9, 360), so only the last few are kept."""
+    m, blocks = n - 1, _block_table(q)
+    table = cyclic_dense(np.broadcast_to(blocks[:, None], (len(blocks), m, 2, 2)))
     table = table.reshape(-1, 4 * m)
     table.flags.writeable = False
     return table
@@ -150,6 +148,11 @@ def lower_slots(codes, n: int, q: int, out: np.ndarray | None = None) -> np.ndar
 class _Label:
     """A label lowers through its slot codes."""
 
+    def __post_init__(self):
+        check_modulus(self.q)
+        if self.n < 2:
+            raise ValidationError(f"arity must be >= 2, got {self.n}")
+
     def dense(self) -> np.ndarray:
         return lower_slots(self.slots(), self.n, self.q)
 
@@ -164,7 +167,7 @@ class PauliLabel(_Label):
     r: int
 
     def __post_init__(self):
-        check_modulus(self.q)
+        super().__post_init__()
         sigma(self.j)
         if not 0 <= self.r < self.q:
             raise ValidationError(f"phase index must be 0..{self.q - 1}, got {self.r}")
@@ -188,7 +191,7 @@ class ElementaryLabel(_Label):
     r: int
 
     def __post_init__(self):
-        check_modulus(self.q)
+        super().__post_init__()
         sigma(self.j)
         if not 1 <= self.k <= self.n - 1:
             raise ValidationError(f"position must be 1..{self.n - 1}, got {self.k}")
@@ -228,7 +231,7 @@ class FullLabel(_Label):
     r: int
 
     def __post_init__(self):
-        check_modulus(self.q)
+        super().__post_init__()
         sigma(self.j)
         if not 0 <= self.r < self.q:
             raise ValidationError(f"phase index must be 0..{self.q - 1}, got {self.r}")
@@ -251,7 +254,7 @@ class HetLabel(_Label):
     rs: tuple[int, ...]
 
     def __post_init__(self):
-        check_modulus(self.q)
+        super().__post_init__()
         object.__setattr__(self, "js", tuple(int(v) for v in self.js))
         object.__setattr__(self, "rs", tuple(int(v) for v in self.rs))
         m = self.n - 1

@@ -20,10 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArityError, DomainError, ValidationError
-from .matrices import BlockCyclicMatrix, check_factor_count, sigma
-# levi_civita and mul_sigma_indices live in phases, and are public here too
-from .phases import (ElementaryLabel, FullLabel, ZeroLabel, _product, full_nary_mul,  # noqa: F401
-                     levi_civita, mul_sigma_indices, root_of_unity)
+from .matrices import BlockCyclicMatrix, _Lowered, check_factor_count, sigma
+from .phases import (ElementaryLabel, FullLabel, ZeroLabel, _product, full_nary_mul,
+                     mul_sigma_indices, root_of_unity)
 from .su2 import PolyadicSU2Element
 
 
@@ -50,13 +49,6 @@ def quarter_unit(quarter: int) -> complex:
 def _check_position(n: int, k: int) -> None:
     if not 1 <= k <= n - 1:
         raise DomainError(f"block position must be 1..{n - 1}, got {k}")
-
-
-class _Lowered:
-    """A Sigma-class value lowers through its ``BlockCyclicMatrix``."""
-
-    def dense(self) -> np.ndarray:
-        return self.matrix().dense()
 
 
 @dataclass(frozen=True)

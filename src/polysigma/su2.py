@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matrices
 from .errors import ArityError, DomainError, ValidationError
-from .matrices import BlockCyclicMatrix
+from .matrices import BlockCyclicMatrix, _Lowered
 
 #: validation tolerance for the unit-norm constraint; looser than arithmetic
 #: tolerance so values round-tripped through JSON files still validate.
@@ -91,6 +91,10 @@ class SU2Params:
             dtype=np.complex128,
         )
 
+    def dense(self) -> np.ndarray:
+        """The binary layout, in which ``binary_param_mul`` multiplies."""
+        return binary_su2_matrix(self)
+
     def to_dict(self) -> dict:
         return {"x0": self.x0, "x": list(self.x)}
 
@@ -104,7 +108,7 @@ def binary_su2_matrix(p: SU2Params) -> np.ndarray:
     """The 2x2 layout [[x0+i*x1, x2+i*x3], [-x2+i*x3, x0-i*x1]].
 
     This layout differs from ``SU2Params.block`` by the x1 <-> x3 relabeling;
-    it is the one whose parameter-space product is ``binary_param_mul``.
+    it is ``SU2Params.dense``, the one ``binary_param_mul`` multiplies in.
     """
     x1, x2, x3 = p.x
     return np.array(
@@ -122,7 +126,7 @@ def random_su2_params(rng: np.random.Generator) -> SU2Params:
 
 
 @dataclass(frozen=True)
-class PolyadicSU2Element:
+class PolyadicSU2Element(_Lowered):
     """Element of the arity-n polyadic special unitary group: n-1 unit-norm
     parameter blocks placed on the cyclic superdiagonal."""
 

@@ -32,6 +32,7 @@ from polysigma.phases import (
     build_pauli_group,
     elementary_nary_mul,
     full_nary_mul,
+    levi_civita,
     pauli_identity,
     pauli_inverse,
     pauli_labels,
@@ -44,7 +45,6 @@ from polysigma.sigma_algebra import (
     full,
     hadamard_decompose,
     hadamard_reconstruct,
-    levi_civita,
     nary_power,
     ternary_anticommutator,
     ternary_commutator,

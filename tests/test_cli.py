@@ -180,15 +180,26 @@ def test_verify_exhaustive_over_budget_is_usage_error(tmp_path):
     assert code == 2
 
 
+def test_exhaustive_verify_bounds_associativity_by_the_budget(tmp_path):
+    # pauli q = 20 has 80^3 bracketing tuples, over the builder's default
+    # associativity budget of 2^18 but within --budget
+    out = tmp_path / "r.json"
+    assert run(["verify", "--family", "pauli", "--q", "20", "--mode", "exhaustive",
+                "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["assoc"] and report["assoc_exhaustive"]
+    assert report["assoc_samples"] == 80 ** 3 == 512_000
+
+
 @pytest.mark.parametrize("budget, message", [
-    ("30000000", "error: 1981355655168 bracketing tuples exceed the budget of 2000000"),
+    ("30000000", "error: 1981355655168 bracketing tuples exceed the budget of 30000000"),
     ("1000", "error: 23887872 products exceed the budget of 1000; switch to sampling"),
 ], ids=["associativity", "closure-first"])
 def test_verify_refuses_either_budget_before_any_sweep(monkeypatch, capsys, tmp_path,
                                                        budget, message):
     # full (3, 72): 288^3 closure products fit the default budget, 288^5
-    # bracketing tuples do not fit the associativity budget of 2e6; under a
-    # budget of 1000 neither fits, and the closure is refused first
+    # bracketing tuples do not; under a budget of 1000 neither fits, and the
+    # closure is refused first
     def no_sweep(*args):
         raise AssertionError("the closure sweep ran before the refusal")
 
@@ -840,14 +851,20 @@ _PUBLIC = {
 
 def test_a_verify_start_imports_only_what_verify_runs():
     # the package resolves its names on first use, so a fresh start that
-    # imports cli and oracle, as verify and cayley do, loads neither su2,
-    # sigma_algebra nor xml; importing the package alone loads no module,
-    # and a submodule is still one attribute away
+    # imports cli and oracle, as verify and cayley do, and lowers and
+    # verifies labels, loads neither su2, sigma_algebra nor xml; importing
+    # the package alone loads no module, and a submodule is still one
+    # attribute away
     code = ("import json, sys\n"
             "import polysigma\n"
             "bare = sorted(m for m in sys.modules if m.startswith('polysigma.'))\n"
             "via_attribute = polysigma.phases.__name__\n"
             "from polysigma import cli, oracle\n"
+            "from polysigma.phases import PauliLabel, pauli_mul\n"
+            "a, b = PauliLabel(4, 1, 0), PauliLabel(4, 2, 0)\n"
+            "oracle.lower(a)\n"
+            "assert oracle.verify(oracle.VerificationCase('pauli', (a, b),\n"
+            "                                            pauli_mul(a, b))).passed\n"
             "print(json.dumps([bare, via_attribute, sorted(sys.modules)]))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))

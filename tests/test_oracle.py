@@ -47,7 +47,9 @@ from polysigma.phases import (
     pauli_mul,
     root_of_unity,
 )
-from polysigma.su2 import PolyadicSU2Element, SU2Params
+from polysigma.sigma_algebra import ElementarySigma, FullSigma, HetSigma, ParamBlockMatrix
+from polysigma.su2 import (PolyadicSU2Element, SU2Params, binary_param_mul, binary_su2_matrix,
+                           random_su2_params)
 
 from conftest import assert_close, traced_peak
 
@@ -74,6 +76,26 @@ def test_lower_het_with_phases():
     expected[0:2, 2:4] = 1j * sigma(1)
     expected[2:4, 0:2] = -sigma(2)
     assert_close(d, expected, 0.0)
+    # n = 4, each block written at its own position: block s at (s, s+1 mod 3)
+    d = lower(HetLabel(4, 4, (1, 2, 3), (1, 2, 3)))
+    expected = np.zeros((6, 6), dtype=complex)
+    expected[0:2, 2:4] = 1j * sigma(1)
+    expected[2:4, 4:6] = -sigma(2)
+    expected[4:6, 0:2] = -1j * sigma(3)
+    assert_close(d, expected, 0.0)
+
+
+def test_lower_is_each_value_dense_bit_for_bit(rng):
+    # the oracle lowers every value through its one dense form, whatever the
+    # value's type: a label, each Sigma class, an element and a parameter block
+    element = PolyadicSU2Element.random(rng, 4)
+    values = [HetLabel(12, 4, (1, 2, 3), (5, 0, 11)), ElementarySigma(4, 2, 3),
+              FullSigma(3, 1), HetSigma(4, (0, 3, 2)), ParamBlockMatrix(3, 2, (0.5, -2.0)),
+              element.matrix(), element, element.params[0]]
+    for x in values:
+        assert lower(x).tobytes() == x.dense().tobytes(), type(x).__name__
+    p = element.params[0]
+    assert lower(p).tobytes() == binary_su2_matrix(p).tobytes()
 
 
 def test_lower_zero_and_element(rng):
@@ -176,6 +198,15 @@ def test_verify_su2_params_family():
     j = SU2Params(0.0, (0.0, 1.0, 0.0))
     k = SU2Params(0.0, (0.0, 0.0, 1.0))
     assert verify(VerificationCase("su2-params", (i, j), k)).passed
+
+
+@pytest.mark.parametrize("family", ["su2-params", "pauli"])
+def test_verify_su2_params_product_whatever_the_family_name(rng, family):
+    # an SU2Params lowers to the binary layout in which binary_param_mul
+    # multiplies, so the family name cannot change the verdict
+    p, q = SU2Params(0.6, (0.0, 0.8, 0.0)), random_su2_params(rng)
+    out = verify(VerificationCase(family, (p, q), binary_param_mul(p, q)))
+    assert out.passed and out.max_abs_deviation <= 1e-15
 
 
 def test_verify_dimension_mismatch():

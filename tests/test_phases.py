@@ -37,6 +37,7 @@ from polysigma.phases import (
     het_phased_labels,
     het_querelement,
     het_querelement_general,
+    levi_civita,
     levi_civita_phase,
     nary_element_order,
     pauli_element_order,
@@ -46,7 +47,6 @@ from polysigma.phases import (
     pauli_mul,
     root_of_unity,
 )
-from polysigma.sigma_algebra import levi_civita
 
 from conftest import assert_close, phase, phased_sigma_word_dense, traced_peak
 
@@ -138,6 +138,20 @@ def test_lower_slots_places_slot_s_at_s_plus_one(n, placement):
 
 # ---------------------------------------------------------------------------
 # binary phase-shifted sigma matrices
+
+
+@pytest.mark.parametrize("cls, bad", [
+    (PauliLabel, [(7, 0, 0)]),
+    (ElementaryLabel, [(7, 3, 0, 1, 0), (4, 1, 0, 1, 0)]),
+    (ZeroLabel, [(7, 3), (4, 1), (4, 0)]),
+    (FullLabel, [(7, 3, 0, 0), (4, 1, 0, 0), (4, 0, 0, 0)]),
+    (HetLabel, [(7, 3, (0, 0), (0, 0)), (4, 1, (), ())]),
+], ids=["pauli", "elementary", "zero", "full", "het"])
+def test_label_refuses_a_modulus_outside_q12_or_an_arity_below_2(cls, bad):
+    # a zero, full or het label was built with either, and failed only when lowered
+    for args in bad:
+        with pytest.raises(DomainError):
+            cls(*args)
 
 
 def test_pauli_label_validation():

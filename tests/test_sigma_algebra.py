@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from polysigma import ArityError, DomainError
+from polysigma import ArityError, DomainError, levi_civita
 from polysigma.sigma_algebra import (
     ElementarySigma,
     FullSigma,
@@ -24,7 +24,6 @@ from polysigma.sigma_algebra import (
     het_count_arrangements,
     het_count_enumerated,
     het_labels,
-    levi_civita,
     mul_sigma_indices,
     nary_power,
     quarter_unit,
