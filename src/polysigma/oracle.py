@@ -491,20 +491,18 @@ def _closure_sweep(fam: _Family, tuple_len: int, total: int,
 
 
 def _assoc_on_tuples(fam: _Family, idx: np.ndarray) -> tuple[float, int | None]:
-    """Compare all bracketings of a (2n-1)-factor product; exact in label
-    space, so the deviation is 0.0.  Returns the first disagreeing row, or
+    """All n bracketings of each (2n-1)-factor row, in slot codes: each
+    factor gathered once, each inner product folded (``phases._slot_fold``)
+    into the outer fold's factor, the results compared slot by slot, which
+    is as strict as comparing label indices, a function of the codes.
+    Exact, so the deviation is 0.0.  Returns the first disagreeing row or
     None."""
-    n = fam.n
-    results = []
-    for p in range(n):
-        inner = fam.index_mult(idx[:, p:p + n])
-        outer = np.concatenate(
-            [idx[:, :p], inner[:, None], idx[:, p + n:]], axis=1
-        )
-        results.append(fam.index_mult(outer))
-    agree = np.ones(idx.shape[0], dtype=bool)
-    for p in range(1, n):
-        agree &= results[0] == results[p]
+    n, fold = fam.n, functools.partial(phases._slot_fold, fam.q)
+    factors = [fam.slots.take(col, axis=1) for col in idx.T]
+    results = [fold([*factors[:p], fold(factors[p:p + n]), *factors[p + n:]])
+               for p in range(n)]
+    agree = functools.reduce(np.logical_and, (
+        a == b for res in results[1:] for a, b in zip(results[0], res)))
     return 0.0, None if agree.all() else int(np.argmax(~agree))
 
 
@@ -517,7 +515,7 @@ def _check_tolerance(tol: float) -> None:
 #: tuples per exhaustive chunk; bounds the chunk's working memory.
 _CHUNK = 1 << 17
 #: rows per slice of a seeded sample.  An associativity slice holds only
-#: label indices and is this long, since its cost is per kernel call, not
+#: slot codes and is this long, since its cost is per fold step, not
 #: memory; a closure slice is also held to _SAMPLE_SLICE_BYTES.
 _SAMPLE_SLICE = 1 << 14
 #: bound on the bytes of one dense stack of a sampled closure slice.  A
@@ -546,15 +544,16 @@ def power_text(base: int, exp: int) -> str:
         return f"{base}^{exp}"
 
 
-def gate(kind: str, order: int, n: int, *, mode: str, budget: int,
+def gate(kind: str, order: int, n: int, *, mode: str, budget: int, samples: int,
          tol: float = DEFAULT_TOL) -> tuple[int, int, bool]:
     """The gate of every closure and associativity check over a family of
     ``order`` labels whose product takes ``n`` factors: the tuple length,
     the tuple count and whether the check is exhaustive.  Over ``budget``
     it refuses an exhaustive request rather than sample, and an auto
-    request samples.  It needs no family context and runs nothing, so
-    a caller can put all of its checks through their gates before any of
-    them lowers a label or sweeps."""
+    request samples; a check that samples refuses a count of ``samples``
+    that is not an integer >= 1, which would pass vacuously.  It needs no
+    family context and runs nothing, so a caller can put all of its checks
+    through their gates before any of them lowers a label or sweeps."""
     if mode not in ("auto", "exhaustive", "sample"):
         raise DomainError(f"mode must be auto|exhaustive|sample, got {mode!r}")
     _check_tolerance(tol)
@@ -566,6 +565,9 @@ def gate(kind: str, order: int, n: int, *, mode: str, budget: int,
         raise BudgetExceededError(f"{power_text(order, tuple_len)} " + (
             f"products exceed the budget of {budget}; switch to sampling" if closure
             else f"bracketing tuples exceed the budget of {budget}"))
+    if not exhaustive and (isinstance(samples, bool)
+                           or not isinstance(samples, (int, np.integer)) or samples < 1):
+        raise DomainError(f"a sample count must be an integer >= 1, got {samples!r}")
     return tuple_len, total, exhaustive
 
 
@@ -574,8 +576,8 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     """A closure or associativity check through its ``gate``: every tuple in
     row-major chunks (the closure by classes, ``_closure_sweep``), or the
     seeded sample in slices, up to the first failing tuple."""
-    tuple_len, total, exhaustive = gate(kind, fam.order, fam.n,
-                                        mode=mode, budget=budget, tol=tol)
+    tuple_len, total, exhaustive = gate(kind, fam.order, fam.n, mode=mode,
+                                        budget=budget, samples=samples, tol=tol)
     closure = kind == "closure"
     checked, worst, first, jobs = 0, 0.0, None, ()
     if exhaustive and closure:

@@ -310,10 +310,12 @@ def _slot_fold(q: int, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Slot codes of the product of ``factors``, each an (m, ...) array of
     slot codes of one shape, folded left to right: one array per result
     slot.  This is the one fold of every label product: the kernel's rows
-    and prefixes, and, on (m,) codes whose slots are numpy scalars, the
-    public scalar products.  Each step forms acc * (4q+1), adds the code in
-    place and takes acc from the flat Cayley table at that index, in the
-    codes' narrow dtype (``_code_dtype``); no factor is written."""
+    and prefixes, the associativity check's bracketings (a result's list
+    of m arrays is itself a factor), and, on (m,) codes whose slots are
+    numpy scalars, the public scalar products.  Each step forms
+    acc * (4q+1), adds the code in place and takes acc from the flat Cayley
+    table at that index, in the codes' narrow dtype (``_code_dtype``); no
+    factor is written."""
     table, width = _cayley_table(q).ravel(), 4 * q + 1
 
     def step(acc: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -897,17 +899,17 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
         n = 2
     elif n < 3:
         raise DomainError(f"arity must be >= 3, got {n}")
-    closure_gate = dict(mode=mode, budget=closure_budget)
+    closure_gate = dict(mode=mode, budget=closure_budget, samples=closure_samples)
     assoc_gate = dict(mode="sample" if spec.assoc_sampled else mode,
-                      budget=0 if spec.assoc_sampled else assoc_budget)
-    # refuse an over-budget request, closure first, before either sweep runs
+                      budget=0 if spec.assoc_sampled else assoc_budget,
+                      samples=assoc_samples)
+    # refuse an over-budget request or a bad sample count, closure first,
+    # before either sweep runs
     order = family_size(family, n, q)[1]
     oracle.gate("closure", order, n, tol=tol, **closure_gate)
     oracle.gate("associativity", order, n, **assoc_gate)
-    closure = oracle.closure_check(family, n, q, samples=closure_samples,
-                                   seed=seed, tol=tol, **closure_gate)
-    assoc = oracle.assoc_check(family, n, q, samples=assoc_samples, seed=seed,
-                               **assoc_gate)
+    closure = oracle.closure_check(family, n, q, seed=seed, tol=tol, **closure_gate)
+    assoc = oracle.assoc_check(family, n, q, seed=seed, **assoc_gate)
 
     fam = oracle.family_context(family, n, q)
     encode = _slot_index(family, q, len(fam.slots))

@@ -417,6 +417,47 @@ def test_checks_refuse_a_label_set_numpy_cannot_index(check):
         check()
 
 
+@pytest.mark.parametrize("run", [
+    lambda k: closure_check("pauli", 2, 4, mode="sample", samples=k),
+    lambda k: assoc_check("pauli", 2, 4, mode="sample", samples=k),
+    lambda k: closure_check("het", 3, 12, mode="auto", budget=100, samples=k),
+    lambda k: sampled_sweep("full", 3, 4, 3, samples=k),
+    lambda k: sampled_sweep("full", 3, 4, 5, samples=k),
+    lambda k: phases.build_pauli_group(4, mode="sample", closure_samples=k),
+    lambda k: phases.build_full_group(3, 4, mode="sample", closure_samples=10,
+                                      assoc_samples=k),
+    lambda k: phases.build_elementary_semigroup(3, 4, assoc_samples=k),
+    lambda k: phases.build_het_group(3, 4, mode="sample", closure_samples=k),
+], ids=["closure", "associativity", "closure-auto", "sweep-closure", "sweep-associativity",
+        "pauli", "full", "elementary", "het"])
+def test_sampled_checks_refuse_a_sample_count_that_is_not_a_positive_integer(run):
+    # -1 raised numpy's "negative dimensions", 2.5 a TypeError, and 0 passed
+    # with nothing checked
+    for samples in (-1, 0, 2.5, True, "3"):
+        with pytest.raises(DomainError, match=(
+                rf"^a sample count must be an integer >= 1, got {samples!r}$")):
+            run(samples)
+    run(np.int64(1))  # a numpy integer is a count
+
+
+def test_builders_refuse_a_bad_sample_count_before_any_sweep(monkeypatch):
+    # the closure sweep ran before the associativity count was refused
+    def sweep(*args, **kwargs):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(oracle, "_check", sweep)
+    with pytest.raises(DomainError, match="^a sample count must be an integer >= 1, got 0$"):
+        phases.build_full_group(3, 4, mode="sample", closure_samples=10, assoc_samples=0)
+    with pytest.raises(DomainError, match="^a sample count must be an integer >= 1, got 0$"):
+        phases.build_het_group(3, 4, mode="sample", closure_samples=0)
+
+
+def test_exhaustive_checks_ignore_the_sample_count():
+    # an exhaustive check draws no sample, so its count is not read
+    assert exhaustive_sweep("pauli", 2, 4, 3).checked == 16 ** 3
+    assert closure_check("pauli", 2, 4, mode="exhaustive", samples=0).checked == 256
+    assert assoc_check("pauli", 2, 4, mode="auto", samples=-1).checked == 4096
+
+
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
 def test_check_gate_refuses_a_tolerance_that_is_not_positive(tol):
     # every dev > tol is False under a NaN tolerance, so it would pass anything
@@ -527,6 +568,15 @@ def _doctor(monkeypatch, family, n, q, results):
     bad = dataclasses.replace(fam, index_mult=lambda idx, every_last=False, **kw: results(
         idx, fam.index_mult(idx, every_last, **kw)))
     monkeypatch.setattr(oracle, "family_context", lambda *args: bad)
+
+
+def _doctor_fold(monkeypatch, results):
+    """Make the one label fold, ``phases._slot_fold``, pass the codes of
+    each result slot s through ``results(s, codes)``; the kernel's products
+    and the associativity check's bracketings are all folded through it."""
+    real = phases._slot_fold
+    monkeypatch.setattr(phases, "_slot_fold", lambda q, factors: [
+        results(s, codes) for s, codes in enumerate(real(q, factors))])
 
 
 def _doctor_lowering(monkeypatch, family, n, q, label, corrupt):
@@ -657,8 +707,9 @@ def test_assoc_exhaustive_negative_control(monkeypatch, chunk):
     # second one (81), or lies inside it (64).  Small chunks stand in for a
     # failure past the first 2^17 tuples: every product row also occurs as
     # the last three factors of a tuple led by label 0, so a doctored
-    # product is met long before tuple 2^17.
-    _doctor(monkeypatch, "full", 3, 4, results=_five_to_six)
+    # product is met long before tuple 2^17.  A full label's one slot code
+    # is its index, so doctoring the fold doctors the same products.
+    _doctor_fold(monkeypatch, results=_five_to_six)
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     res = assoc_check("full", 3, 4, mode="exhaustive")
     assert (res.passed, res.exhaustive, res.checked, res.total) == (False, True, 82, 16 ** 5)
@@ -670,13 +721,103 @@ def test_assoc_exhaustive_negative_control(monkeypatch, chunk):
 
 
 def test_assoc_sample_negative_control(monkeypatch):
-    _doctor(monkeypatch, "full", 3, 4, results=_five_to_six)
+    _doctor_fold(monkeypatch, results=_five_to_six)
     res = assoc_check("full", 3, 4, mode="sample", samples=2000, seed=7)
     assert (res.passed, res.exhaustive, res.checked, res.total) == (False, False, 5, 2000)
     assert res.witness == {
         "kind": "associativity",
         "operands": ["f3r1", "f1r0", "f1r1", "f1r0", "f2r3"],
     }
+
+
+def _assoc_bad_rows(fam, rows):
+    """Every row whose bracketings ``oracle._assoc_on_tuples`` finds
+    disagreeing, in order: the check is run again after each one it finds."""
+    bad, start = [], 0
+    while True:
+        dev, first = oracle._assoc_on_tuples(fam, rows[start:])
+        assert dev == 0.0
+        if first is None:
+            return bad
+        bad.append(start + first)
+        start += first + 1
+
+
+def _subset_family(family, n, q, slots):
+    """A family context over the labels with (m, k) slot codes ``slots``
+    only, so any (n, q) works without enumerating the family."""
+    slots = slots.astype(phases._code_dtype(q))
+    return oracle._Family(family, n, q, slots.shape[1], slots,
+                          phases._slot_kernel(family, q, slots))
+
+
+def _reference_bad_rows(family, n, q, slots, rows):
+    """The rows whose n bracketings disagree, each bracketing formed through
+    ``index_mult`` in label indices: its inner product's index is decoded to
+    slot codes, appended to the labels, and indexed as the outer product's
+    factor."""
+    inner = [_subset_family(family, n, q, slots).index_mult(rows[:, p:p + n])
+             for p in range(n)]
+    both = _subset_family(family, n, q, np.concatenate(
+        [slots, phases.family_slots(family, n, q, np.concatenate(inner))], axis=1))
+    k, b = slots.shape[1], len(rows)
+    results = np.stack([both.index_mult(np.column_stack(
+        [rows[:, :p], k + p * b + np.arange(b), rows[:, p + n:]])) for p in range(n)])
+    return np.flatnonzero((results != results[0]).any(axis=0)).tolist()
+
+
+@pytest.mark.parametrize("family, n", [("pauli", 2)] + [
+    (family, n) for family in ("elementary", "full", "het") for n in range(2, 7)])
+def test_assoc_on_tuples_agrees_with_bracketings_in_label_indices(monkeypatch, family, n):
+    # over 32 drawn (2n-1)-factor rows at every q, the rows the slot-code
+    # check finds disagreeing must be those whose bracketings, formed in
+    # label indices, disagree: none for the true fold, and, with the last
+    # result slot's codes doctored, rows whose inner products it changed
+    doctored = []
+    for q in Q12:
+        _, order = phases.family_size(family, n, q)
+        m, t = len(phases.family_slots(family, n, q, [0])), 2 * n - 1
+        rng = np.random.default_rng(q * 10 + n)
+        idx = rng.integers(0, order, size=(32, t))
+        if family == "elementary":
+            # nonzero products need positions k, k+1, ... (cyclic)
+            k0 = (rng.integers(0, m, size=(16, 1)) + np.arange(t)) % m
+            idx[:16] = ((rng.integers(0, 4, size=(16, t)) * m + k0) * q
+                        + rng.integers(0, q, size=(16, t)))
+        slots = phases.family_slots(family, n, q, idx.ravel())
+        rows = np.arange(idx.size).reshape(idx.shape)
+        fam = _subset_family(family, n, q, slots)
+        assert _assoc_bad_rows(fam, rows) == _reference_bad_rows(family, n, q, slots, rows) == []
+
+        def shift_last(s, codes):
+            # a live code c = 0 mod 7 in the last slot becomes c + 1 mod 4q
+            hit = (s == m - 1) & (codes % 7 == 0) & (codes < 4 * q)
+            return np.where(hit, (codes + 1) % (4 * q), codes).astype(codes.dtype)
+
+        with monkeypatch.context() as patch:
+            _doctor_fold(patch, shift_last)
+            want = _reference_bad_rows(family, n, q, slots, rows)
+            assert _assoc_bad_rows(fam, rows) == want
+        doctored.append(len(want))
+    # the doctoring breaks some rows and leaves others
+    assert 0 < sum(doctored) < len(Q12) * len(rows)
+
+
+def test_assoc_negative_control_in_one_slot(monkeypatch):
+    # het (3, 4) with only result slot 1 doctored, code 5 reported as 6:
+    # the ninth seeded row is the first whose bracketings disagree, as in
+    # label indices.  Their results agree in slot 0 there, and in slot 0
+    # the first disagreement is the 18th row, so the witness needs every slot
+    _doctor_fold(monkeypatch, lambda s, codes: _five_to_six(None, codes) if s else codes)
+    res = assoc_check("het", 3, 4, mode="sample", samples=2000, seed=2)
+    assert (res.passed, res.exhaustive, res.checked, res.total) == (False, False, 9, 2000)
+    assert res.witness == {
+        "kind": "associativity",
+        "operands": ["h0.1r1.0", "h3.2r0.2", "h3.3r1.1", "h2.3r3.3", "h0.1r3.3"],
+    }
+    fam = family_context("het", 3, 4)
+    sample = oracle._sampled_tuples(fam.order, 5, 2000, 2)
+    assert _reference_bad_rows("het", 3, 4, fam.slots, sample)[0] == 8
 
 
 def test_exhaustive_closure_worst_deviation_is_pinned():
