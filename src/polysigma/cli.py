@@ -228,6 +228,8 @@ def cmd_param_mul(args) -> int:
         for tup in tuples:
             if len(tup) != n or any(e.arity != n for e in tup):
                 raise DomainError(f"each tuple must list {n} elements of arity {n}")
+    if not tuples:  # nothing checked would pass vacuously
+        raise DomainError("at least one tuple is needed, got none")
     results = []
     max_dev = 0.0
     for tup in tuples:

@@ -57,7 +57,7 @@ class _Family:
     order: int
     #: (m, order) read-only slot codes in their narrow dtype
     #: (``phases._code_dtype``: int16 up to q = 40, else int32), which the
-    #: kernel, its last-factor tables and ``lower`` all read
+    #: kernel, its last-factor tables and the sampled checks all read
     slots: np.ndarray
     #: (B, t) label rows -> (B,) products; with every_last=True,
     #: (P, t) prefixes -> (P, order), each prefix followed by every label,
@@ -75,11 +75,6 @@ class _Family:
     def d(self) -> int:
         """The dimension of a dense form: n-1 blocks of 2."""
         return 2 * (self.n - 1)
-
-    def lower(self, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Dense forms of the labels at indices ``labels``, into ``out``, a
-        C-contiguous stack whose content is overwritten."""
-        return phases.lower_slots(self.slots.take(labels, axis=1).T, self.n, self.q, out=out)
 
     @functools.cached_property
     def dense_stack(self) -> np.ndarray:
@@ -198,21 +193,26 @@ def _deviation(prod: np.ndarray, expected: np.ndarray, tol: float,
 
 def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float,
                        bufs: np.ndarray) -> tuple[float, int | None]:
-    """Max deviation over tuple rows and the first bad row.  ``bufs`` is
-    three dense stacks reused from slice to slice (``_check``): a factor
-    stack and two products.  The first factor is lowered into the product
-    the first ``matmul`` does not write, every later factor into the factor
-    stack, the label results into the factor stack after the last
-    ``matmul``, and the deviations into the spare product's memory, so a
-    slice lowers only its own labels and allocates no dense stack."""
+    """Max deviation over tuple rows and the first bad row.  Each factor's
+    slot codes, gathered once, are lowered and folded (``phases._slot_fold``)
+    into the label results' codes.  ``bufs`` is three dense stacks reused
+    from slice to slice (``_check``): a factor stack and two products.  The
+    first factor is lowered into the product the first ``matmul`` does not
+    write, every later factor into the factor stack, the label results into
+    the factor stack after the last ``matmul``, and the deviations into the
+    spare product's memory, so a slice lowers only its own labels and
+    allocates no dense stack."""
     p, t_len = idx.shape
     factor, prods = bufs[0, :p], bufs[1:, :p]
-    acc = fam.lower(idx[:, 0], prods[1])
+    codes = [fam.slots.take(col, axis=1) for col in idx.T]
+    lower_codes = functools.partial(phases.lower_slots, n=fam.n, q=fam.q)
+    acc = lower_codes(codes[0].T, out=prods[1])
     for t in range(1, t_len):
-        acc = np.matmul(acc, fam.lower(idx[:, t], factor), out=prods[(t + 1) % 2])
+        acc = np.matmul(acc, lower_codes(codes[t].T, out=factor), out=prods[(t + 1) % 2])
     # real deviations fill the first half of the spare product's bytes
     dev = prods[(t_len + 1) % 2].reshape(-1).view(np.float64)[:acc.size].reshape(acc.shape)
-    worst, bad = _deviation(acc, fam.lower(fam.index_mult(idx), factor), tol, dev)
+    expected = lower_codes(np.stack(phases._slot_fold(fam.q, codes), axis=-1), out=factor)
+    worst, bad = _deviation(acc, expected, tol, dev)
     return worst, None if bad is None else int(np.argmax(bad))
 
 

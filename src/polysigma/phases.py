@@ -311,8 +311,9 @@ def _slot_fold(q: int, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
     slot codes of one shape, folded left to right: one array per result
     slot.  This is the one fold of every label product: the kernel's rows
     and prefixes, the associativity check's bracketings (a result's list
-    of m arrays is itself a factor), and, on (m,) codes whose slots are
-    numpy scalars, the public scalar products.  Each step forms
+    of m arrays is itself a factor), the structure checks, the sampled
+    closure's label results, and, on (m,) codes whose slots are numpy
+    scalars, the public scalar products.  Each step forms
     acc * (4q+1), adds the code in place and takes acc from the flat Cayley
     table at that index, in the codes' narrow dtype (``_code_dtype``); no
     factor is written."""
@@ -342,16 +343,6 @@ def _slot_parts(name: str, q: int, m: int) -> tuple[np.ndarray, Callable]:
                      for s in range(m)]), np.add
 
 
-def _slot_index(name: str, q: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The encoder of m slot-code arrays to label indices (``_slot_parts``)."""
-    parts, join = _slot_parts(name, q, m)
-
-    def encode(codes: np.ndarray) -> np.ndarray:
-        return functools.reduce(join, (parts[s][codes[s]] for s in range(m)))
-
-    return encode
-
-
 def _last_factor_tables(q: int, slots: np.ndarray, parts: np.ndarray,
                         shift: int) -> list[np.ndarray]:
     """Per result slot s, the read-only (4q+1, k) table whose row c holds
@@ -370,8 +361,9 @@ def _last_factor_tables(q: int, slots: np.ndarray, parts: np.ndarray,
 
 def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarray]:
     """index_mult over the labels with (m, k) slot codes ``slots``: (B, t)
-    rows of label indices -> (B,) label indices of the products.  The codes
-    are best held in their narrow dtype (``_code_dtype``, as
+    rows of label indices -> (B,) label indices of the products (the tests'
+    reference; ``cayley`` and the exhaustive closure use every_last).  The
+    codes are best held in their narrow dtype (``_code_dtype``, as
     ``oracle.family_context`` holds them): each factor's codes are one
     gather from ``slots`` by its column of label indices, and the products'
     codes come from the one fold of every label product (``_slot_fold``),
@@ -465,16 +457,20 @@ def _check_enumerable(order: int, m: int) -> None:
 def family_slots(name: str, n: int, q: int, index=None) -> np.ndarray:
     """(m, k) slot codes of the family's labels at the canonical indices
     ``index`` (every label by default, if memory can hold them); an index
-    outside [0, order) is refused.  The canonical order runs over the sigma
-    indices, then the elementary position, then the phase indices, first
-    slot most significant; the elementary zero comes last."""
+    that is not an integer or not in [0, order) is refused.  The canonical
+    order runs over the sigma indices, then the elementary position, then
+    the phase indices, first slot most significant; the elementary zero
+    comes last."""
     n, order = family_size(name, n, q)
     m = 1 if name in ("pauli", "full") else n - 1
     if index is None:
         _check_enumerable(order, m)
         index = np.arange(order)
     else:
-        index = np.asarray(index, dtype=np.int64)
+        index = np.asarray(index)
+        if index.dtype.kind not in "iu" and index.size:
+            raise DomainError(f"label indices must be integers, got {index.dtype}")
+        index = index.astype(np.int64)
         if ((index < 0) | (index >= order)).any():
             raise DomainError(f"label indices must be in [0, {order})")
     if name == "elementary":
@@ -758,40 +754,40 @@ class StructureReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _identity_holds(fam, e: int, elems: np.ndarray) -> np.ndarray:
-    """Per element a: e...e a = a and a e...e = a, over label indices."""
-    ee = np.full((len(elems), fam.n - 1), e)
-    return ((fam.index_mult(np.column_stack([ee, elems])) == elems)
-            & (fam.index_mult(np.column_stack([elems, ee])) == elems))
+def _identity_holds(fam, e: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per element a, of (m, L) slot codes: e...e a = a and a e...e = a."""
+    ee = [np.broadcast_to(e[:, None], codes.shape)] * (fam.n - 1)
+    return ((np.stack(_slot_fold(fam.q, [*ee, codes])) == codes).all(axis=0)
+            & (np.stack(_slot_fold(fam.q, [codes, *ee])) == codes).all(axis=0))
 
 
-def _inverse_holds(fam, elems: np.ndarray, inv: np.ndarray, target) -> np.ndarray:
-    """Per element a: the product of factors a with ``inv`` in any one
-    position equals ``target``."""
-    ok = np.ones(len(elems), dtype=bool)
+def _inverse_holds(fam, codes: np.ndarray, inv: np.ndarray, target) -> np.ndarray:
+    """Per element a, of (m, L) slot codes ``codes``: the product of
+    factors a with ``inv`` in any one position has the codes ``target``."""
+    ok = np.ones(codes.shape[1], dtype=bool)
     for pos in range(fam.n):
-        rows = np.repeat(elems[:, None], fam.n, axis=1)
-        rows[:, pos] = inv
-        ok &= fam.index_mult(rows) == target
+        factors = [codes] * fam.n
+        factors[pos] = inv
+        ok &= (np.stack(_slot_fold(fam.q, factors)) == target).all(axis=0)
     return ok
 
 
-def _element_orders(fam, elems: np.ndarray, cap: int) -> np.ndarray:
+def _element_orders(fam, codes: np.ndarray, cap: int) -> np.ndarray:
     """``nary_element_order`` of every element at once, with 0 for an
     absorbed element: all elements step together and each leaves the loop at
     its first l with [cur, a, ..., a] = a (order l) or = cur (absorbed).  An
     element still live after ``cap`` steps is an error, not an absorbed one."""
-    orders = np.zeros(len(elems), dtype=np.int64)
-    live, cur = np.arange(len(elems)), elems
+    orders = np.zeros(codes.shape[1], dtype=np.int64)
+    live, cur = np.arange(codes.shape[1]), codes
     for l in range(1, cap + 1):
         if not live.size:
             break
-        a = elems[live]
-        nxt = fam.index_mult(np.column_stack([cur] + [a] * (fam.n - 1)))
-        back = nxt == a
+        a = codes[:, live]
+        nxt = np.stack(_slot_fold(fam.q, [cur] + [a] * (fam.n - 1)))
+        back = (nxt == a).all(axis=0)
         orders[live[back]] = l
-        keep = ~back & (nxt != cur)
-        live, cur = live[keep], nxt[keep]
+        keep = ~back & (nxt != cur).any(axis=0)
+        live, cur = live[keep], nxt[:, keep]
     if live.size:
         raise AssertionError(f"{live.size} element orders exceed the cap {cap}")
     return orders
@@ -855,27 +851,27 @@ _STRUCTURES = {
 _ELEMENT_SLICE = 1 << 12
 
 
-def _element_checks(spec: _Structure, fam, encode: Callable, elems: np.ndarray,
-                    e_index: int | None) -> tuple[bool, bool | None, dict]:
-    """Whether the identity holds, whether the querelement (or inverse)
-    formulas agree and hold (None if the family has none), and the order
-    histogram, over ``elems`` one slice of at most _ELEMENT_SLICE at a time.
-    Each formula is applied to the slot codes of a whole slice."""
+def _element_checks(spec: _Structure, fam, codes: np.ndarray,
+                    e: np.ndarray | None) -> tuple[bool, bool | None, dict]:
+    """Whether the identity ``e`` holds, whether the querelement (or
+    inverse) formulas agree and hold (None if the family has none), and the
+    order histogram, over ``codes`` one slice of at most _ELEMENT_SLICE at
+    a time.  Each formula is applied to the slot codes of a whole slice."""
     n, q = fam.n, fam.q
     formulas = spec.inverses(n)
     cap = spec.hist_cap(fam.order, q)
     ident_ok, quer_ok = True, (True if formulas else None)
     hist = np.zeros(cap + 1, dtype=np.int64)
-    for start, stop in _chunk_ranges(len(elems), _ELEMENT_SLICE):
-        part = elems[start:stop]
-        if e_index is not None:
-            ident_ok = ident_ok and bool(_identity_holds(fam, e_index, part).all())
+    for start, stop in _chunk_ranges(codes.shape[1], _ELEMENT_SLICE):
+        part = codes[:, start:stop]
+        if e is not None:
+            ident_ok = ident_ok and bool(_identity_holds(fam, e, part).all())
         if formulas:
             # widened: a formula's arithmetic, as (2 - n) * r, overflows the
             # narrow codes
-            codes = fam.slots.take(part, axis=1).astype(np.int64)
-            invs = [encode(f(codes, n, q)) for f in formulas]
-            target = e_index if spec.binary else part
+            wide = part.astype(np.int64)
+            invs = [f(wide, n, q) for f in formulas]
+            target = e[:, None] if spec.binary else part
             quer_ok = (quer_ok and all(np.array_equal(invs[0], v) for v in invs[1:])
                        and bool(_inverse_holds(fam, part, invs[0], target).all()))
         hist += np.bincount(_element_orders(fam, part, cap), minlength=cap + 1)
@@ -889,8 +885,8 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
                      element_cap: int | None = None,
                      quer_samples: int = 0) -> StructureReport:
     """Closure and associativity from the oracle; identity, inverse or
-    querelement rules and element orders as batched products of label
-    indices on the family's slot-table kernel (``_element_checks``)."""
+    querelement rules and element orders as batched folds of the slot codes
+    of every label or of the seeded subset (``_element_checks``)."""
     from . import oracle
 
     spec = _STRUCTURES[family]
@@ -912,17 +908,16 @@ def _build_structure(family: str, n: int, q: int, *, seed: int, tol: float,
     assoc = oracle.assoc_check(family, n, q, seed=seed, **assoc_gate)
 
     fam = oracle.family_context(family, n, q)
-    encode = _slot_index(family, q, len(fam.slots))
     sampled = spec.subset is not None and fam.order > element_cap
-    elems = (encode(spec.subset(n, q, np.random.default_rng(seed), quer_samples))
-             if sampled else np.arange(fam.order))
+    codes = (spec.subset(n, q, np.random.default_rng(seed), quer_samples)
+             if sampled else fam.slots)
 
     e = None if spec.identity is None else spec.identity(n, q)
-    e_index = None if e is None else int(encode(np.array(e.slots())))
-    ident_ok, quer_ok, histogram = _element_checks(spec, fam, encode, elems, e_index)
+    ident_ok, quer_ok, histogram = _element_checks(
+        spec, fam, codes, None if e is None else np.array(e.slots()))
     quer_checked = 0
     if quer_ok is not None:
-        quer_checked = len(elems) * (1 if spec.binary else n)
+        quer_checked = codes.shape[1] * (1 if spec.binary else n)
         dev = (spec.dense_check(oracle, n, q, fam.order, sampled)
                if spec.dense_check else None)
         if dev is not None:

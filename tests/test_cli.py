@@ -547,6 +547,18 @@ def test_param_mul_bad_count_or_tolerance_is_usage_error(tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["random", "file"])
+def test_param_mul_without_tuples_is_input_error(tmp_path, capsys, source):
+    # zero tuples, drawn or read, would check nothing and pass with count 0
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"arity": 3, "tuples": []}))
+    out = tmp_path / "r.json"
+    args = ["--random", "0"] if source == "random" else ["--in", empty]
+    assert run(["param-mul", "--n", "3", *args, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: at least one tuple is needed, got none\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tuples", [{"a": 1}, [[1, 2, 3]], 5, None],
                          ids=["object", "numbers", "number", "missing"])
 def test_param_mul_malformed_tuples_is_input_error(tmp_path, capsys, tuples):

@@ -352,6 +352,60 @@ def test_sampled_closure_products_match_gathers_bit_for_bit(monkeypatch, family,
         assert got[1].tobytes() == expected.tobytes()
 
 
+def _index_row_deviations(fam, idx):
+    """Each sampled closure row's worst deviation with its label result
+    taken as a label index from ``index_mult`` and lowered from that
+    label's slot codes, the factors lowered the same way."""
+    def lower(labels):
+        return phases.lower_slots(fam.slots.take(labels, axis=1).T, fam.n, fam.q)
+
+    prods = functools.reduce(np.matmul, [lower(col) for col in idx.T])
+    return np.abs(prods - lower(fam.index_mult(idx))).max(axis=(1, 2))
+
+
+@pytest.mark.parametrize("family, n, q", [
+    ("pauli", 2, 12), ("pauli", 2, 360), ("elementary", 3, 8), ("elementary", 5, 36),
+    ("full", 3, 72), ("full", 6, 12), ("het", 3, 12), ("het", 4, 8),
+])
+def test_sampled_closure_row_deviations_match_label_indices(monkeypatch, family, n, q):
+    # the sampled closure folds each factor's slot codes into the label
+    # results' codes and lowers those: every row's deviation must have the
+    # bits it has when the results are label indices from index_mult
+    fam = family_context(family, n, q)
+    real, seen = oracle._deviation, []
+
+    def deviation(prod, want, tol, dev=None):
+        res = real(prod, want, tol, dev)
+        seen.append(dev.max(axis=(1, 2)))
+        return res
+
+    monkeypatch.setattr(oracle, "_deviation", deviation)
+    res = closure_check(family, n, q, mode="sample", samples=3000, seed=5)
+    assert (res.passed, res.checked) == (True, 3000)
+    want = _index_row_deviations(fam, oracle._sampled_tuples(fam.order, fam.n, 3000, 5))
+    assert np.concatenate(seen).tobytes() == want.tobytes()
+    # rounding leaves some rows off by an ulp, so the bits are compared
+    assert want.any()
+
+
+@pytest.mark.parametrize("family, n, q", [("het", 4, 8), ("full", 3, 4)])
+def test_verify_makes_no_row_wise_index_mult_call(monkeypatch, tmp_path, family, n, q):
+    # the structure checks and the sampled closure fold slot codes: only the
+    # exhaustive closure (full (3, 4)) calls the kernel, with every_last
+    calls, real = [], family_context
+
+    def counted(*args):
+        fam = real(*args)
+        return dataclasses.replace(fam, index_mult=lambda idx, every_last=False, **kw: (
+            calls.append(every_last) or fam.index_mult(idx, every_last, **kw)))
+
+    monkeypatch.setattr(oracle, "family_context", counted)
+    assert cli.main(["verify", "--family", family, "--n", str(n), "--q", str(q),
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert calls.count(False) == 0
+    assert bool(calls) == (family == "full")
+
+
 @pytest.mark.parametrize("family, n, q, public", [
     ("het", 3, 4, "het_querelement"), ("het", 3, 4, "het_querelement_general"),
     ("het", 4, 4, "het_querelement_general"), ("full", 4, 8, "full_querelement"),
@@ -687,8 +741,9 @@ def test_closure_sample_negative_control(monkeypatch):
     # full(3, 4) products that should be label 5 reported as label 6: the
     # eighth seeded tuple is the first whose dense product disagrees, whether
     # the sample is one slice or that tuple lies inside the third slice (3),
-    # ends the second (4) or starts it (7)
-    _doctor(monkeypatch, "full", 3, 4, results=_five_to_six)
+    # ends the second (4) or starts it (7).  A full label's one slot code
+    # is its index, so doctoring the fold doctors the same products.
+    _doctor_fold(monkeypatch, results=_five_to_six)
     for rows in (oracle._SAMPLE_SLICE, 3, 4, 7):
         monkeypatch.setattr(oracle, "_SAMPLE_SLICE", rows)
         res = closure_check("full", 3, 4, mode="sample", samples=2000, seed=7)

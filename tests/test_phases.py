@@ -615,11 +615,9 @@ def test_element_checks_hold_one_slice():
     # 5.2-6.3 MB traced; one slice at a time, the whole stage takes 0.8 MB
     fam = family_context("het", 4, 8)
     spec = phases._STRUCTURES["het"]
-    encode = phases._slot_index("het", 8, len(fam.slots))
-    e_index = int(encode(np.array(phases.het_identity(4, 8).slots())))
-    elems = np.arange(fam.order)
+    e = np.array(phases.het_identity(4, 8).slots())
     (ident_ok, quer_ok, hist), peak = traced_peak(
-        lambda: phases._element_checks(spec, fam, encode, elems, e_index))
+        lambda: phases._element_checks(spec, fam, fam.slots, e))
     assert ident_ok and quer_ok
     assert hist == {"1": 1024, "2": 7168, "4": 8192, "8": 16384}
     assert peak <= 2 ** 20
@@ -628,7 +626,7 @@ def test_element_checks_hold_one_slice():
 def test_querelement_formulas_run_on_widened_codes(monkeypatch):
     # full (1000, 40) holds int16 codes, and (2 - n) * r wraps in int16 for
     # r > 32: both callers of a formula must widen the codes first and match
-    # the formula applied to the int64 enumeration.  The kernel is stood in
+    # the formula applied to the int64 enumeration.  The fold is stood in
     # for and nothing is lowered, since each product takes 1,000 factors and
     # each dense form is 1998 x 1998
     n, q = 1000, 40
@@ -637,14 +635,18 @@ def test_querelement_formulas_run_on_widened_codes(monkeypatch):
     assert fam.slots.dtype == np.int16
     assert not np.array_equal(phases._full_querelement(fam.slots, n, q), want)
 
-    seen = []
-    encode = phases._slot_index("full", q, 1)
-    stand_in = SimpleNamespace(n=n, q=q, order=fam.order, slots=fam.slots,
-                               index_mult=lambda rows: rows[:, 0])
-    phases._element_checks(phases._STRUCTURES["full"], stand_in,
-                           lambda codes: seen.append(codes) or encode(codes),
-                           np.arange(fam.order), None)
+    seen, dtypes = [], []
+
+    def formula(codes, n, q):
+        dtypes.append(codes.dtype)
+        return seen.append(phases._full_querelement(codes, n, q)) or seen[-1]
+
+    spec = dataclasses.replace(phases._STRUCTURES["full"], inverses=lambda n: (formula,))
+    with monkeypatch.context() as patch:
+        patch.setattr(phases, "_slot_fold", lambda q, factors: factors[0])
+        phases._element_checks(spec, fam, fam.slots, None)
     assert len(seen) == 1 and np.array_equal(seen[0], want)
+    assert dtypes == [np.int64]
 
     monkeypatch.setattr(phases, "lower_slots", lambda codes, n, q: codes.T)
     assert np.array_equal(oracle._lowered_querelements(fam, phases._full_querelement), want)
@@ -675,7 +677,7 @@ def test_failed_identity_fails_the_report_not_associativity(monkeypatch, tmp_pat
 
 
 # ---------------------------------------------------------------------------
-# the structure checks, batched over label indices, against lowered dense
+# the structure checks, batched over slot codes, against lowered dense
 # products, per element
 
 
@@ -716,29 +718,29 @@ def test_structure_checks_match_scalar_products(family, n, q):
         want[back] = l
         live &= ~back & ~_dense_eq(nxt, cur)
         cur = nxt
-    assert phases._element_orders(fam, elems, cap).tolist() == want.tolist()
+    codes = fam.slots[:, elems]
+    assert phases._element_orders(fam, codes, cap).tolist() == want.tolist()
 
     # the identity, and a label that is not one
     for e in (0, 1):
         ee = np.linalg.matrix_power(fam.dense_stack[e], n - 1)
         want = _dense_eq(ee @ a, a) & _dense_eq(a @ ee, a)
-        assert phases._identity_holds(fam, e, elems).tolist() == want.tolist()
+        assert phases._identity_holds(fam, fam.slots[:, e], codes).tolist() == want.tolist()
 
     # the slot-code formulas, and a wrong one that must fail somewhere
-    encode = phases._slot_index(family, q, len(fam.slots))
     wrong = lambda codes, n, q: codes  # noqa: E731
     for formula in (*spec.inverses(n), wrong):
-        codes = formula(fam.slots[:, elems], n, q)
-        b = phases.lower_slots(np.transpose(codes), n, q)
+        inv = formula(codes, n, q)
+        b = phases.lower_slots(np.transpose(inv), n, q)
         if spec.binary:
-            target = 0  # s0r0
+            target = fam.slots[:, 0]  # s0r0
             want = _dense_eq(a @ b, np.eye(2)) & _dense_eq(b @ a, np.eye(2))
         else:
-            target = elems
+            target = codes
             want = np.all([_dense_eq(functools.reduce(
                 np.matmul, [b if t == pos else a for t in range(n)]), a)
                 for pos in range(n)], axis=0)
-        got = phases._inverse_holds(fam, elems, encode(codes), target)
+        got = phases._inverse_holds(fam, codes, inv, target)
         assert got.tolist() == want.tolist()
         assert want.all() == (formula is not wrong)
 
@@ -800,6 +802,11 @@ def test_family_slots_follow_the_digit_formula(family, n, q):
     for outside in ([-1], [order]):
         with pytest.raises(DomainError, match="must be in"):
             phases.family_slots(family, n, q, outside)
+    # a fraction used to be truncated to the label below it, a boolean
+    # read as 0 or 1
+    for wrong in ([2.7], [1.0], np.array([True, False]), ["2"]):
+        with pytest.raises(DomainError, match="must be integers"):
+            phases.family_slots(family, n, q, wrong)
 
 
 def test_family_slots_hold_little_besides_their_result():
@@ -851,13 +858,15 @@ def test_public_products_run_without_the_family():
 
 
 @pytest.mark.parametrize("pick", [0, 1, 2])
-def test_structure_checks_read_every_position(pick):
+def test_structure_checks_read_every_position(monkeypatch, pick):
     # in these families a one-sided identity or a querelement at one
     # position already implies the rest, so the kernel cases above cannot
     # tell a skipped side or position; a stand-in product that returns
     # factor `pick` can
-    fam = SimpleNamespace(n=3, index_mult=lambda rows: rows[:, pick])
+    monkeypatch.setattr(phases, "_slot_fold", lambda q, factors: factors[pick])
+    fam = SimpleNamespace(n=3, q=4)
     elems = np.arange(6)
-    assert phases._identity_holds(fam, 2, elems).tolist() == (elems == 2).tolist()
+    codes = elems[None]
+    assert phases._identity_holds(fam, np.array([2]), codes).tolist() == (elems == 2).tolist()
     inv = np.array([0, 2, 1, 3, 5, 4])
-    assert phases._inverse_holds(fam, elems, inv, elems).tolist() == (inv == elems).tolist()
+    assert phases._inverse_holds(fam, codes, inv[None], codes).tolist() == (inv == elems).tolist()
