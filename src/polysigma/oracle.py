@@ -63,8 +63,7 @@ class _Family:
     #: (P, t) prefixes -> (P, order), each prefix followed by every label,
     #: folding only the prefixes and finishing every label from the
     #: kernel's cached last-factor tables, or, for one-factor prefixes,
-    #: folding each with every label, into ``out`` when it is given
-    #: (``phases._slot_kernel``)
+    #: folding each with every label (``phases._slot_kernel``)
     index_mult: Callable[..., np.ndarray]
 
     def label(self, i: int):
@@ -193,8 +192,9 @@ def _deviation(prod: np.ndarray, expected: np.ndarray, tol: float,
 
 def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float,
                        bufs: np.ndarray) -> tuple[float, int | None]:
-    """Max deviation over tuple rows and the first bad row.  Each factor's
-    slot codes, gathered once, are lowered and folded (``phases._slot_fold``)
+    """Max deviation over tuple rows up to and including the first bad
+    row, or over every row, and that row or None.  Each factor's slot
+    codes, gathered once, are lowered and folded (``phases._slot_fold``)
     into the label results' codes.  ``bufs`` is three dense stacks reused
     from slice to slice (``_check``): a factor stack and two products.  The
     first factor is lowered into the product the first ``matmul`` does not
@@ -213,7 +213,10 @@ def _closure_on_tuples(fam: _Family, idx: np.ndarray, tol: float,
     dev = prods[(t_len + 1) % 2].reshape(-1).view(np.float64)[:acc.size].reshape(acc.shape)
     expected = lower_codes(np.stack(phases._slot_fold(fam.q, codes), axis=-1), out=factor)
     worst, bad = _deviation(acc, expected, tol, dev)
-    return worst, None if bad is None else int(np.argmax(bad))
+    if bad is None:
+        return worst, None
+    first = int(np.argmax(bad))
+    return float(dev[:first + 1].max()), first
 
 
 @functools.cache
@@ -242,7 +245,7 @@ def _fingerprint(words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 class _ClassTable:
     """The exhaustive closure's sweep-wide table of prefix classes, each a
-    distinct pair of (product words, label results), in claim order: the
+    distinct pair of (product words, folded codes), in claim order: the
     row-major order of their first prefixes.  Each class keeps its pair
     and its first prefix row in arrays that grow in place, one row per
     class.  The first class met with a fingerprint also keeps its
@@ -259,30 +262,30 @@ class _ClassTable:
         self.ids = np.empty(0, np.intp)     # each key's class, a row of the arrays below
         self.others: set[bytes] = set()
         self.n = 0                          # classes claimed; the arrays have spare rows
-        self.firsts = self.words = self.rows = None
+        self.firsts = self.words = self.codes = None
 
-    def _store(self, start: int, new: np.ndarray, words: np.ndarray, rows: np.ndarray):
+    def _store(self, start: int, new: np.ndarray, words: np.ndarray, codes: np.ndarray):
         """Write the classes of chunk-local prefixes ``new`` after the ``n``
         claimed, growing the arrays in place, by realloc, with 1/16 to
         spare; refcheck would refuse under a profiler, and every view of
         them is dropped in the statement that makes it."""
         at, end = self.n, self.n + len(new)
         if end > len(self.firsts):
-            for a in (self.firsts, self.words, self.rows):
+            for a in (self.firsts, self.words, self.codes):
                 a.resize((end + end // 16, *a.shape[1:]), refcheck=False)
         self.firsts[at:end] = start + new
-        self.words[at:end], self.rows[at:end] = words[new], rows[new]
+        self.words[at:end], self.codes[at:end] = words[new], codes[new]
 
-    def claim(self, start: int, words: np.ndarray, rows: np.ndarray):
+    def claim(self, start: int, words: np.ndarray, codes: np.ndarray):
         """Add the classes new to the sweep of the chunk whose first prefix
-        row is ``start``, with prefix product ``words`` and label results
-        ``rows``, in the row order of their first prefixes."""
+        row is ``start``, with prefix product ``words`` and (P, m) folded
+        slot codes ``codes``, in the row order of their first prefixes."""
         p, known = len(words), self.n
         if self.words is None:
             self.firsts = np.empty(0, np.intp)
             self.words = np.empty((0, words.shape[1]), np.uint64)
-            self.rows = np.empty((0, rows.shape[1]), rows.dtype)
-        wbuf, rbuf = np.empty_like(words), np.empty_like(rows)
+            self.codes = np.empty((0, codes.shape[1]), codes.dtype)
+        wbuf, cbuf = np.empty_like(words), np.empty_like(codes)
         prints = _fingerprint(words, wbuf)
         at = np.searchsorted(self.keys, prints)
         if known:
@@ -303,16 +306,16 @@ class _ClassTable:
             # keys is sorted, so inserting it keeps the keys sorted
             self.keys = np.insert(self.keys, at[miss[first]], keys)
             self.ids = np.insert(self.ids, at[miss[first]], cls)
-            self._store(start, new, words, rows)
+            self._store(start, new, words, codes)
         # the gathers never clip: ids holds class rows
         np.take(self.words, ids, axis=0, out=wbuf, mode="clip")
-        np.take(self.rows, ids, axis=0, out=rbuf, mode="clip")
-        wsame, rsame = wbuf == words, rbuf == rows
-        if not (wsame.all() and rsame.all()):
+        np.take(self.codes, ids, axis=0, out=cbuf, mode="clip")
+        wsame, csame = wbuf == words, cbuf == codes
+        if not (wsame.all() and csame.all()):
             claimed = np.zeros(p, dtype=bool)
             claimed[new] = True
-            for i in np.flatnonzero(~(wsame.all(axis=1) & rsame.all(axis=1))).tolist():
-                key = words[i].tobytes() + rows[i].tobytes()
+            for i in np.flatnonzero(~(wsame.all(axis=1) & csame.all(axis=1))).tolist():
+                key = words[i].tobytes() + codes[i].tobytes()
                 if key not in self.others:
                     self.others.add(key)
                     claimed[i] = True
@@ -324,7 +327,7 @@ class _ClassTable:
                 fresh, new = new, np.flatnonzero(claimed)
                 late = self.ids >= known
                 self.ids[late] = known + np.searchsorted(new, fresh)[self.ids[late] - known]
-                self._store(start, new, words, rows)
+                self._store(start, new, words, codes)
         self.n = known + len(new)
 
 
@@ -365,23 +368,22 @@ def _closure_claims(fam: _Family, tuple_len: int, chunks):
     """The exhaustive closure's chunks in flat row-major order; start and
     stop are multiples of the label count, so a chunk is whole runs that
     each share their leading tuple_len-1 factors.  Every prefix's literal
-    product is taken from its block of heads (``_prefix_blocks``), and its
-    label results with every last label are computed by the kernel, in
-    buffers reused from chunk to chunk.  Yields (the chunk's first prefix
-    row, every prefix's product as (P, 2*d*d) words, every prefix's label
-    results); the two are the buffers, valid until the next chunk."""
+    product is taken from its block of heads (``_prefix_blocks``) into a
+    buffer reused from chunk to chunk, and its factors' slot codes,
+    gathered once, are folded (``phases._slot_fold``) into its m codes.
+    Yields (the chunk's first prefix row, every prefix's product as
+    (P, 2*d*d) words, every prefix's (P, m) folded codes); the words are
+    the buffer, valid until the next chunk."""
     order, stack = fam.order, fam.dense_stack
     blocks = _prefix_blocks(fam, tuple_len)
     first = size = 0  # the current block's first head and head count
-    prods = out = None
+    prods = None
     for start, stop in chunks:
         start, stop = start // order, stop // order  # prefix rows
         pref = phases._build_tuples(order, tuple_len - 1, start, stop)
         p = len(pref)
         if prods is None:  # every chunk but the last is as long as the first
             prods = np.empty((p, *stack.shape[1:]), stack.dtype)
-            # the kernel's result dtype, from one prefix
-            out = np.empty((2, p, order), fam.index_mult(pref[:1], every_last=True).dtype)
         acc = prods[:p]
         row = start
         while row < stop:  # one take from each block the chunk meets
@@ -394,18 +396,17 @@ def _closure_claims(fam: _Family, tuple_len: int, chunks):
             rows = pref[part, -1] * size + (np.arange(row, end) // order - first)
             np.take(block, rows, axis=0, out=acc[part], mode="clip")
             row = end
-        # a wrapped kernel may ignore out, so its result is what counts
-        res = fam.index_mult(pref, every_last=True, out=out[:, :p])
-        yield start, acc.reshape(p, -1).view(np.uint64), res
+        codes = phases._slot_fold(fam.q, [fam.slots.take(col, axis=1) for col in pref.T])
+        yield start, acc.reshape(p, -1).view(np.uint64), np.stack(codes, axis=-1)
 
 
 def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
                       res: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Judge the P classes whose first prefixes are rows ``at`` of the
-    sweep, with products ``acc`` and label results ``res`` (from the
-    ``_ClassTable``), against every last label.  This is what
+    sweep, with products ``acc`` (from the ``_ClassTable``) and (P, order)
+    label results ``res``, against every last label.  This is what
     "exhaustive" means for a closure: every prefix's literal product is
-    computed, and each distinct (product, label results) pair is judged
+    computed, and each distinct (product, folded codes) pair is judged
     against every last label once; each tuple's judged product is still its
     prefix's literal product times the last label's dense matrix, as equal
     input bits give equal product bits, and label arithmetic supplies only
@@ -416,9 +417,9 @@ def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
     worst deviation over every label; only when one fails are the same
     products formed again, for the first last label each failing class
     fails with, as equal inputs give equal bits.  Returns each class's
-    worst deviation over every label and its first bad tuple in row-major
-    order, at*order + the first last label it fails with, or -1 where it
-    fails with none."""
+    worst deviation over its tuples up to its first bad one, or over every
+    label, and its first bad tuple in row-major order, at*order + the
+    first last label it fails with, or -1 where it fails with none."""
     order, d, stack = fam.order, fam.d, fam.dense_stack
     tall = acc.reshape(-1, d)
     # one contiguous row per last label, in the results' narrow dtype:
@@ -441,9 +442,11 @@ def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
     lasts = np.full(len(at), -1)
     if not (worst <= tol).all():
         # the same products again, label by label, for the first last
-        # label each failing class fails with
+        # label each failing class fails with; every earlier tuple of the
+        # class is within tol, so that tuple's deviation is its worst
         for last, dev in deviations():
-            lasts[(lasts < 0) & ~(dev <= tol).all(axis=(1, 2))] = last
+            hit = (lasts < 0) & ~(dev <= tol).all(axis=(1, 2))
+            lasts[hit], worst[hit] = last, dev[hit].max(axis=(1, 2))
     return worst, np.where(lasts < 0, -1, at * order + lasts)
 
 
@@ -453,40 +456,45 @@ def _closure_sweep(fam: _Family, tuple_len: int, total: int,
     None.  Prefixes are claimed into a ``_ClassTable`` in chunks of
     ``runs`` prefixes, and its classes are judged in claim order, in
     batches of ``batch`` and the rest at the end; both are held to the
-    tall product's bound.  Classes are claimed in row-major order of their
-    first prefixes, so the first failing one holds the first bad tuple.
-    After it, claiming stops past the failing chunk, the classes claimed up
-    to it are still judged, and only classes first met in that chunk or
-    before count, so the worst deviation covers exactly those chunks."""
+    tall product's bound.  Claiming asks the kernel nothing: a batch's
+    label results come from ``index_mult`` on its classes' first prefixes,
+    ``runs`` at a time.  Classes are claimed in row-major order of their
+    first prefixes, so the first failing one holds the first bad tuple, and
+    the sweep stops there.  The worst deviation then covers exactly the
+    tuples up to it: those of the classes judged before the failing class
+    and the failing class's own up to its first bad last label."""
     order, d = fam.order, fam.d
     batch = max(1, _TALL_MNK // d ** 3)
     runs = max(1, min(_CHUNK // order, batch))
-    table, judged, worst, first = _ClassTable(), 0, 0.0, None
-    end = total // order  # prefix rows that count: every one, or up to the failing chunk's end
+    table, judged, worst = _ClassTable(), 0, 0.0
 
-    def judge(size: int):
-        nonlocal judged, worst, first, end
+    def judge(size: int) -> int | None:
+        """Judge the next ``size`` classes; their first bad tuple, or None."""
+        nonlocal judged, worst
         # copies: the table's arrays move when they grow
-        rows, words, res = (a[judged:judged + size].copy()
-                            for a in (table.firsts, table.words, table.rows))
+        rows, words = (a[judged:judged + size].copy() for a in (table.firsts, table.words))
         judged += size
+        pref = np.stack(np.unravel_index(rows, (order,) * (tuple_len - 1)), axis=-1)
+        res = None  # (order, size), in the kernel's result dtype
+        for at in range(0, size, runs):
+            part = fam.index_mult(pref[at:at + runs], every_last=True)
+            if res is None:
+                res = np.empty((order, size), part.dtype)
+            res[:, at:at + runs] = part.T
         worsts, bads = _closure_on_range(fam, rows, words.view(np.complex128).reshape(-1, d, d),
-                                         res, tol)
-        failed = bads >= 0
-        if first is None and failed.any():
-            i = np.argmax(failed)
-            first, end = int(bads[i]), (int(rows[i]) // runs + 1) * runs
-        worst = float(np.maximum(worst, worsts[rows < end].max(initial=0.0)))  # a NaN stays NaN
+                                         res.T, tol)
+        failed = np.flatnonzero(bads >= 0)[:1]
+        upto = failed[0] + 1 if len(failed) else size
+        worst = float(np.maximum(worst, worsts[:upto].max()))  # a NaN stays NaN
+        return int(bads[failed[0]]) if len(failed) else None
 
-    for start, words, res in _closure_claims(fam, tuple_len,
-                                             phases._chunk_ranges(total, runs * order)):
-        if start >= end:
-            break
-        table.claim(start, words, res)
+    for start, words, codes in _closure_claims(fam, tuple_len,
+                                               phases._chunk_ranges(total, runs * order)):
+        table.claim(start, words, codes)
         while table.n - judged >= batch:
-            judge(batch)
-    if table.n > judged:
-        judge(table.n - judged)
+            if (first := judge(batch)) is not None:
+                return worst, first
+    first = judge(table.n - judged) if table.n > judged else None
     return worst, first
 
 

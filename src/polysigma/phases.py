@@ -312,11 +312,11 @@ def _slot_fold(q: int, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
     slot.  This is the one fold of every label product: the kernel's rows
     and prefixes, the associativity check's bracketings (a result's list
     of m arrays is itself a factor), the structure checks, the sampled
-    closure's label results, and, on (m,) codes whose slots are numpy
-    scalars, the public scalar products.  Each step forms
-    acc * (4q+1), adds the code in place and takes acc from the flat Cayley
-    table at that index, in the codes' narrow dtype (``_code_dtype``); no
-    factor is written."""
+    closure's label results, the exhaustive closure's prefix classes and,
+    on (m,) codes whose slots are numpy scalars, the public scalar
+    products.  Each step forms acc * (4q+1), adds the code in place and
+    takes acc from the flat Cayley table at that index, in the codes'
+    narrow dtype (``_code_dtype``); no factor is written."""
     table, width = _cayley_table(q).ravel(), 4 * q + 1
 
     def step(acc: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -362,12 +362,12 @@ def _last_factor_tables(q: int, slots: np.ndarray, parts: np.ndarray,
 def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarray]:
     """index_mult over the labels with (m, k) slot codes ``slots``: (B, t)
     rows of label indices -> (B,) label indices of the products (the tests'
-    reference; ``cayley`` and the exhaustive closure use every_last).  The
-    codes are best held in their narrow dtype (``_code_dtype``, as
-    ``oracle.family_context`` holds them): each factor's codes are one
-    gather from ``slots`` by its column of label indices, and the products'
-    codes come from the one fold of every label product (``_slot_fold``),
-    which each result slot's parts then encode.
+    reference; ``cayley`` and the exhaustive closure's judging use
+    every_last).  The codes are best held in their narrow dtype
+    (``_code_dtype``, as ``oracle.family_context`` holds them): each
+    factor's codes are one gather from ``slots`` by its column of label
+    indices, and the products' codes come from the one fold of every label
+    product (``_slot_fold``), which each result slot's parts then encode.
 
     With every_last=True, (P, t) prefixes -> (P, k), each prefix followed by
     every label: only the prefixes are folded, to one (P,) code per result
@@ -380,12 +380,7 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
     be read about once, and each prefix is folded with every label
     outright.  every_last results take the smallest unsigned dtype that
     holds the label count (uint8 below 256 labels, uint16 below 65,536),
-    which cuts the tables' memory and the bytes their row gathers move.
-
-    The result is written to out[0], which is returned, and out[1] holds
-    one slot's rows while the join folds them in.  ``out``, a (2, P, k)
-    array of that dtype, lets an every_last caller reuse that memory; by
-    default it is allocated per call."""
+    which cuts the tables' memory and the bytes their row gathers move."""
     m = len(slots)
     parts, join = _slot_parts(name, q, m)
     # the join of each slot's largest reachable part is the largest label
@@ -403,8 +398,7 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
                 tables[shift] = _last_factor_tables(q, slots, narrow, shift)
             return tables[shift]
 
-    def index_mult(idx: np.ndarray, every_last: bool = False,
-                   out: np.ndarray | None = None) -> np.ndarray:
+    def index_mult(idx: np.ndarray, every_last: bool = False) -> np.ndarray:
         factors = [np.take(slots, idx[:, t], axis=1) for t in range(idx.shape[1])]
         rows = parts
         if every_last and len(factors) == 1:
@@ -412,14 +406,9 @@ def _slot_kernel(name: str, q: int, slots: np.ndarray) -> Callable[..., np.ndarr
         elif every_last:
             rows = last_tables(idx.shape[1] % m)
         codes = _slot_fold(q, factors)
-        if out is None:  # apart, so the result does not keep the join's rows alive
-            out = [np.empty((*codes[0].shape, *rows[0].shape[1:]), rows[0].dtype)
-                   for _ in range(min(m, 2))]
-        # codes index their tables' rows, so "clip" never clips; unlike
-        # "raise", it writes straight into out
-        res = np.take(rows[0], codes[0], axis=0, out=out[0], mode="clip")
+        res = np.take(rows[0], codes[0], axis=0)
         for s in range(1, m):
-            join(res, np.take(rows[s], codes[s], axis=0, out=out[1], mode="clip"), out=res)
+            join(res, np.take(rows[s], codes[s], axis=0), out=res)
         return res
 
     return index_mult

@@ -903,17 +903,20 @@ def _reference_prefixes(fam, stack, start, stop):
     ("pauli", 2, 12), ("elementary", 3, 8), ("full", 3, 8), ("full", 4, 4), ("het", 3, 4),
 ])
 def test_exhaustive_closure_judges_each_class_bit_for_bit(monkeypatch, family, n, q):
-    # the sweep judges one prefix per (product bytes, label results) class.
-    # A reference sweep in the sweep's chunks builds every tuple's literal
-    # product by the left fold and the tall product; each must equal, bit
-    # for bit, its class representative's product times the last label, as
-    # the sweep computed it, and the worst deviations must be equal
+    # the sweep judges one prefix per (product bytes, folded codes) class,
+    # and its label results are one-to-one with its codes, so the classes
+    # are those of (product bytes, label results) keys.  A reference sweep
+    # in the sweep's chunks builds every tuple's literal product by the left
+    # fold and the tall product; each must equal, bit for bit, its class
+    # representative's product times the last label, as the sweep computed
+    # it, and the worst deviations must be equal.  Each batch's results are
+    # copied, as the sweep owns their memory
     fam = family_context(family, n, q)
     stack, order, d = fam.dense_stack, fam.order, fam.dense_stack.shape[-1]
     judged = []
     real = oracle._closure_on_range
     monkeypatch.setattr(oracle, "_closure_on_range", lambda f, at, acc, res, tol: (
-        judged.append((acc, res)) or real(f, at, acc, res, tol)))
+        judged.append((acc, res.copy())) or real(f, at, acc, res, tol)))
     swept = closure_check(family, n, q, mode="exhaustive")
     assert swept.passed and swept.checked == order ** fam.n
 
@@ -949,14 +952,13 @@ def test_exhaustive_closure_judges_each_class_bit_for_bit(monkeypatch, family, n
 
 
 def test_failing_closure_class_across_chunks_matches_literal_reference(monkeypatch):
-    # the label results, with last label 17, of every het (3, 4) prefix
-    # (a, b) with a > 0 whose literal product is that of prefix (0, 10) are
-    # doctored.  Those prefixes form one class; (0, 10) has the same product
-    # bits but other label results, so it is not in it.  With four prefixes
-    # to a chunk, the class is first met past the second chunk and has
-    # members in later ones.  checked,
-    # the witness and the worst deviation must be those of a literal
-    # per-tuple sweep
+    # the folded codes of every het (3, 4) prefix (a, b) with a > 0 whose
+    # literal product is that of prefix (0, 10) are doctored.  Those
+    # prefixes form one class; (0, 10) has the same product bits but other
+    # codes, so it is not in it.  With four or 16 prefixes to a chunk,
+    # the class is first met past the second chunk and has members in
+    # later ones.  checked, the witness and the worst deviation must be
+    # those of a literal per-tuple sweep over exactly the checked tuples
     _failing_class_matches_literal_reference(monkeypatch)
 
 
@@ -977,61 +979,81 @@ def test_failing_closure_class_without_fingerprints_matches_literal_reference(mo
 def test_failing_closure_class_in_one_head_blocks_matches_literal_reference(monkeypatch,
                                                                            fingerprints):
     # the doctored class above, with every prefix product taken from a
-    # block of one head, so each head's 256 prefixes span 64 claim chunks
+    # block of one head, so each head's 256 prefixes span many claim chunks
     monkeypatch.setattr(oracle, "_PREFIX_BLOCK_BYTES", 1)
     if not fingerprints:
         _constant_fingerprint(monkeypatch)
     _failing_class_matches_literal_reference(monkeypatch)
 
 
+def _doctor_prefixes(monkeypatch, doctored):
+    """Make the one label fold, ``phases._slot_fold``, pass the codes it
+    folds from two factors through ``doctored(factors, codes)``.  The claim
+    pass and the kernel's every_last call both fold a het (3, 4) prefix's
+    two factors through it, so a prefix's class and its label results see
+    the same doctored codes, chosen by its factors."""
+    real = phases._slot_fold
+    monkeypatch.setattr(phases, "_slot_fold", lambda q, factors: (
+        doctored(factors, real(q, factors)) if len(factors) == 2 else real(q, factors)))
+
+
+def _shift_phase(codes, hit, steps, q):
+    """Slot 1's codes at ``hit`` with their phase index moved by ``steps``."""
+    c = codes[1]
+    return [codes[0], np.where(hit, c - c % q + (c + steps) % q, c).astype(c.dtype)]
+
+
+def _literal_sweep(fam, stack, tol):
+    """The closure of a het (3, 4) context in row-major order, tuple by
+    tuple, up to and including its first bad tuple: that tuple and the
+    worst deviation over exactly those tuples.  Each prefix's label results
+    with every last label come from the context's kernel."""
+    order, worst = fam.order, 0.0
+    for start in range(0, order ** 2, order):  # one head's prefixes at a time
+        _, acc, res = _reference_prefixes(fam, stack, start, start + order)
+        dev = np.abs(acc[:, None] @ stack - stack[res]).max(axis=(2, 3)).ravel()
+        bad = ~(dev <= tol)
+        stop = int(np.argmax(bad)) + 1 if bad.any() else len(dev)
+        worst = max(worst, float(dev[:stop].max()))
+        if bad.any():
+            return start * order + stop - 1, worst
+    return None, worst
+
+
 def _failing_class_matches_literal_reference(monkeypatch):
     fam = family_context("het", 3, 4)
-    stack, order = fam.dense_stack, fam.order
-    target = stack[0] @ stack[10]
+    stack, order, q = fam.dense_stack, fam.order, fam.q
+    target = phases._slot_fold(q, [fam.slots[:, 0], fam.slots[:, 10]])
 
-    def one_class_wrong(rows, products):
-        if products.ndim == 1:
-            return products
-        hit = (stack[rows[:, 0]] @ stack[rows[:, 1]] == target).all(axis=(1, 2))
-        hit &= rows[:, 0] > 0
-        products = products.copy()
-        products[hit, 17] = (products[hit, 17] + 1) % order
-        return products
+    def one_class_wrong(factors, codes):
+        hit = (factors[0] != fam.slots[:, :1]).any(axis=0)
+        for got, want in zip(codes, target):
+            hit &= got == want
+        return _shift_phase(codes, hit, 1, q)
 
-    _doctor(monkeypatch, "het", 3, 4, results=one_class_wrong)
-    monkeypatch.setattr(oracle, "_CHUNK", 4 * order)
-    monkeypatch.setattr(oracle, "_TALL_MNK", 1 << 10)
-    runs = 4
-    doctored = oracle.family_context("het", 3, 4)
-
-    # the literal sweep: each tuple's product and its doctored label result,
-    # in row-major order, up to the end of the chunk of the first failure
-    worst, first, start = 0.0, None, 0
-    while first is None:
-        pref, acc, res = _reference_prefixes(doctored, stack, start, start + runs)
-        for p, row in enumerate(pref):
-            prods = stack[row[0]] @ stack[row[1]] @ stack  # with every last label
-            dev = np.abs(prods - stack[res[p]]).max(axis=(1, 2))
-            worst = max(worst, float(dev.max()))
-            if first is None and (dev > 1e-12).any():
-                first = ((start + p) * order + int(np.argmax(dev > 1e-12)), [*row])
-        start += runs
-    checked, row = first[0] + 1, first[1] + [first[0] % order]
-    assert checked > 2 * runs * order  # past the second chunk
-
-    # the class of the failing prefix has members in chunks after its own
-    _, acc, res = _reference_prefixes(doctored, stack, 0, 3 * order)
+    _doctor_prefixes(monkeypatch, one_class_wrong)
+    first, worst = _literal_sweep(fam, stack, 1e-12)
+    row = [*phases._build_tuples(order, 3, first, first + 1)[0]]
+    assert first // order > 255  # the prefix's first factor is not label 0
+    assert np.array_equal(stack[row[0]] @ stack[row[1]], stack[0] @ stack[10])
+    _, acc, res = _reference_prefixes(fam, stack, 0, 3 * order)
     keys = _class_keys(acc, res)
-    chunks = {i // runs for i, key in enumerate(keys) if key == keys[first[0] // order]}
-    assert len(chunks) > 1 and min(chunks) == first[0] // order // runs
 
-    res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12)
-    assert (res.passed, res.checked, res.max_abs_deviation) == (False, checked, worst)
-    assert res.witness == {
-        "kind": "closure",
-        "operands": [fam.label(i).token() for i in row],
-        "max_abs_deviation": worst,
-    }
+    for runs in (4, 16):  # 16 is the batch at this tall-product bound
+        monkeypatch.setattr(oracle, "_CHUNK", runs * order)
+        monkeypatch.setattr(oracle, "_TALL_MNK", 1 << 10)
+        assert first // order > 2 * runs  # past the second chunk
+        # the class of the failing prefix has members in chunks after its own
+        chunks = {i // runs for i, key in enumerate(keys) if key == keys[first // order]}
+        assert len(chunks) > 1 and min(chunks) == first // order // runs
+
+        res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12)
+        assert (res.passed, res.checked, res.max_abs_deviation) == (False, first + 1, worst)
+        assert res.witness == {
+            "kind": "closure",
+            "operands": [fam.label(i).token() for i in row],
+            "max_abs_deviation": worst,
+        }
 
 
 @pytest.mark.parametrize("family, n, q", [("het", 3, 4), ("full", 3, 8)])
@@ -1158,11 +1180,11 @@ def test_prefix_blocks_equal_per_label_tall_products(monkeypatch, family, n, q, 
 
 def test_exhaustive_closure_holds_one_prefix_block_besides_its_buffers():
     # het (3, 4) exhaustive, with its context and dense stack held, peaks
-    # at 3.10 MB: a 1.5 MiB block of 24 heads times 256 labels, and about
-    # 1.5 MB of chunk buffers, the class table with one claim's compare
-    # buffers, and one batch's copies and judging buffers (the peak is
-    # 1.79 MB with one-head blocks).  A block held only to the tall
-    # product's bound would be 512 heads, 32 MiB
+    # at 2.05 MB: a 1.5 MiB block of 24 heads times 256 labels, and about
+    # 0.5 MB of chunk buffers, the class table with one claim's compare
+    # buffers, and one batch's copies, label results and judging buffers
+    # (the peak is 0.75 MB with one-head blocks).  A block held only to the
+    # tall product's bound would be 512 heads, 32 MiB
     closure_check("het", 3, 4, mode="exhaustive")  # the context, its stack and tables
     res, peak = traced_peak(lambda: closure_check("het", 3, 4, mode="exhaustive"))
     assert res.passed and oracle._PREFIX_BLOCK_BYTES == 3 << 19
@@ -1173,8 +1195,10 @@ def test_exhaustive_closure_judges_results_in_their_narrow_dtype():
     # pauli (2, 360) is judged in one batch of 1,440 classes with 1,440
     # uint16 label results each, 4.1 MB; widened to intp for judging they
     # were 16.6 MB, and the check peaked at 33.0 MiB against 21.1 MiB in
-    # their own dtype; the bound sits between the two.  The worst
-    # deviation's bits follow the BLAS kernel (2.198e-15 on SkylakeX,
+    # their own dtype; the bound sits between the two.  Since the results
+    # are asked of the kernel for the batch alone, and the class table
+    # holds one folded code per class, the check peaks at 14.7 MiB.  The
+    # worst deviation's bits follow the BLAS kernel (2.198e-15 on SkylakeX,
     # 2.144e-15 on Haswell and Prescott), so only its size is held
     res, peak = traced_peak(lambda: closure_check(
         "pauli", 2, 360, mode="exhaustive", budget=3_000_000))
@@ -1184,49 +1208,39 @@ def test_exhaustive_closure_judges_results_in_their_narrow_dtype():
     assert peak <= 27 * 2 ** 20
 
 
-@pytest.mark.parametrize("runs, y, batches", [(257, 400, [0, 1]), (258, 700, [0, 0])],
+@pytest.mark.parametrize("runs, y, batches", [(257, 400, [0]), (258, 700, [0, 0])],
                          ids=["chunk-past-its-batch", "batch-past-its-chunk"])
 def test_failing_class_near_batch_ends_matches_literal_reference(monkeypatch, runs, y, batches):
     # het (3, 4) with ``runs`` prefixes to a chunk and as many classes to a
     # batch.  Prefixes 0..255 hold the undoctored family's 256 classes, so
-    # prefixes x and y, doctored, are the only classes after them: x's is
-    # class 256, in chunk 1, and fails first; y's is class 257 and fails
-    # with the larger deviation.  With 257, y is in chunk 1 but starts the
-    # second batch, so a sweep that reported at the end of the failing
-    # batch would miss it.  With 258, y shares the failing batch but is in
-    # chunk 2, so a sweep that counted every class of that batch would
-    # count it.  checked, the witness and the worst deviation must be those
-    # of a literal per-tuple sweep up to the end of the failing chunk
+    # prefixes x and y, with doctored codes, are the only classes after
+    # them: x's is class 256, in chunk 1, and fails first; y's is class 257
+    # and fails with the larger deviation.  With 257, y is in chunk 1 but
+    # starts the second batch, which the sweep never judges.  With 258, y
+    # shares the failing batch but is in chunk 2, so a sweep that counted
+    # every class of that batch would count it.  checked, the witness and
+    # the worst deviation must be those of a literal per-tuple sweep over
+    # exactly the checked tuples
     fam = family_context("het", 3, 4)
-    stack, order, x = fam.dense_stack, fam.order, 300
+    stack, order, q, x = fam.dense_stack, fam.order, fam.q, 300
 
-    def two_wrong(rows, products):
-        if products.ndim == 1:
-            return products
-        products = products.copy()
-        prefix = rows[:, 0] * order + rows[:, 1]
-        products[prefix == x, 17] = (products[prefix == x, 17] + 1) % order
-        products[prefix == y, 30] = (products[prefix == y, 30] + 2) % order
-        return products
+    def is_prefix(factors, p):
+        hit = True
+        for factor, label in zip(factors, divmod(p, order)):
+            hit &= (factor == fam.slots[:, label:label + 1]).all(axis=0)
+        return hit
 
-    _doctor(monkeypatch, "het", 3, 4, results=two_wrong)
+    def two_wrong(factors, codes):
+        codes = _shift_phase(codes, is_prefix(factors, x), 1, q)
+        return _shift_phase(codes, is_prefix(factors, y), 2, q)
+
+    _doctor_prefixes(monkeypatch, two_wrong)
     monkeypatch.setattr(oracle, "_TALL_MNK", runs * 4 ** 3)
-    doctored = oracle.family_context("het", 3, 4)
-
-    def literal(start, stop):
-        """Each prefix's worst deviation and its first bad tuple, or None."""
-        pref, _, res = _reference_prefixes(doctored, stack, start, stop)
-        for p, row in enumerate(pref):
-            dev = np.abs(stack[row[0]] @ stack[row[1]] @ stack - stack[res[p]]).max(axis=(1, 2))
-            bad = (start + p) * order + int(np.argmax(dev > 1e-12))
-            yield float(dev.max()), bad if (dev > 1e-12).any() else None
-
-    # the literal sweep, up to the end of the chunk of the first failure
-    swept = [*literal(0, runs)] + [*literal(runs, 2 * runs)]
-    worst, first = max(dev for dev, _ in swept), min(bad for _, bad in swept if bad)
-    assert first == x * order + 17
-    x_dev, y_dev = (next(literal(p, p + 1))[0] for p in (x, y))
-    assert x_dev < y_dev == 2.0 and worst == (y_dev if y < 2 * runs else x_dev)
+    first, worst = _literal_sweep(fam, stack, 1e-12)
+    assert first == x * order
+    y_dev = np.abs(stack[y // order] @ stack[y % order] @ stack
+                   - stack[fam.index_mult(np.array([divmod(y, order)]), every_last=True)[0]]).max()
+    assert worst < y_dev == 2.0
 
     judged = _judged_first_prefixes(monkeypatch)
     res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12)
@@ -1242,21 +1256,76 @@ def test_failing_class_near_batch_ends_matches_literal_reference(monkeypatch, ru
     assert judged[0][256] == x
 
 
+@pytest.mark.parametrize("family, n, q, tol, checked", [
+    ("het", 4, 8, 1e-17, 1), ("full", 4, 8, 1e-17, 34)])
+@pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
+def test_failing_report_covers_exactly_its_checked_tuples(monkeypatch, family, n, q, tol,
+                                                          checked, small):
+    # a tolerance below one rounding fails het (4, 8)'s seeded sample at its
+    # first row and full (4, 8)'s exhaustive closure at tuple 34: the worst
+    # deviation must be a literal per-tuple sweep's over exactly the checked
+    # tuples, in the default slices and chunks and in small ones
+    if small:
+        monkeypatch.setattr(oracle, "_SAMPLE_SLICE", 3)
+        monkeypatch.setattr(oracle, "_CHUNK", 32 * 3)
+    fam = family_context(family, n, q)
+    sampled = family == "het"
+    res = closure_check(family, n, q, mode="sample" if sampled else "exhaustive",
+                        samples=1000, seed=42, tol=tol)
+    assert (res.passed, res.checked) == (False, checked)
+    rows = (oracle._sampled_tuples(fam.order, fam.n, 1000, 42)[:checked] if sampled
+            else phases._build_tuples(fam.order, fam.n, 0, checked))
+    dev = _index_row_deviations(fam, rows)
+    assert not dev[-1] <= tol and (dev[:-1] <= tol).all()
+    assert res.max_abs_deviation == res.witness["max_abs_deviation"] == dev.max()
+
+
+def test_closure_claims_ask_the_kernel_nothing(monkeypatch):
+    # the claim pass keys prefixes by their folded codes: on het (3, 4) and
+    # full (3, 8) no kernel call is made while it runs, and the kernel is
+    # asked about exactly the judged classes' first prefixes, 256 of het
+    # (3, 4)'s 65,536 prefixes
+    asked, claiming, real_claims = [], [False], oracle._closure_claims
+
+    def closure_claims(*args):
+        claims = real_claims(*args)
+        while True:
+            claiming[0] = True
+            chunk = next(claims, None)
+            claiming[0] = False
+            if chunk is None:
+                return
+            yield chunk
+
+    def counted(*args):
+        fam = family_context(*args)
+        return dataclasses.replace(fam, index_mult=lambda idx, every_last=False, **kw: (
+            asked.append((claiming[0], idx.copy())) or fam.index_mult(idx, every_last, **kw)))
+
+    monkeypatch.setattr(oracle, "_closure_claims", closure_claims)
+    monkeypatch.setattr(oracle, "family_context", counted)
+    judged = _judged_first_prefixes(monkeypatch)
+    for family, n, q, classes in [("het", 3, 4, 256), ("full", 3, 8, None)]:
+        asked.clear(), judged.clear()
+        assert closure_check(family, n, q, mode="exhaustive").passed
+        order = family_context(family, n, q).order
+        firsts = np.concatenate(judged)
+        assert not any(during for during, _ in asked)
+        assert np.array_equal(np.concatenate([idx for _, idx in asked]),
+                              np.stack(np.unravel_index(firsts, (order,) * (n - 1)), axis=-1))
+        assert len(firsts) == (classes or len(firsts)) < order ** (n - 1)
+
+
 @pytest.mark.parametrize("family, n, q", [("het", 3, 4), ("elementary", 3, 8), ("pauli", 2, 12)])
-def test_every_last_writes_into_out(family, n, q):
-    # the kernel's every_last result written into a given (2, P, k) buffer,
-    # here larger than needed and filled with garbage, must be the buffer's
-    # first plane, and each prefix followed by each label must lower to the
-    # dense product of its factors; pauli prefixes have one factor, so they
-    # take the kernel's outright fold
+def test_every_last_lowers_to_dense_products(family, n, q):
+    # each prefix followed by each label, as the kernel's every_last result
+    # gives it, must lower to the dense product of its factors; pauli
+    # prefixes have one factor, so they take the kernel's outright fold
     fam = family_context(family, n, q)
     prefixes = fam.order ** (fam.n - 1)
     pref = phases._build_tuples(fam.order, fam.n - 1, prefixes - 40, prefixes)
-    dtype = fam.index_mult(pref[:1], every_last=True).dtype
-    out = np.full((2, 64, fam.order), 7, dtype=dtype)
-    got = fam.index_mult(pref, every_last=True, out=out[:, :len(pref)])
-    assert got.dtype == dtype and got.shape == (len(pref), fam.order)
-    assert got.base is out and got.ctypes.data == out.ctypes.data
+    got = fam.index_mult(pref, every_last=True)
+    assert got.shape == (len(pref), fam.order)
     stack = fam.dense_stack
     acc = functools.reduce(np.matmul, stack[pref].swapaxes(0, 1))
     assert np.abs(acc[:, None] @ stack - stack[got]).max() <= 1e-12
