@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -148,6 +149,14 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # each output path is opened to append before any sweep, so an
+    # unwritable one is refused at once; an existing file keeps its bytes,
+    # and one the check made is removed again
+    for path in filter(None, (args.out, args.junit)):
+        made = not os.path.exists(path)
+        open(path, "a").close()
+        if made:
+            os.remove(path)
     kwargs = dict(seed=args.seed, tol=args.tol, mode=args.mode)
     # --mode exhaustive bounds every exhaustive sweep by --budget; auto keeps
     # the builders' associativity budgets

@@ -233,14 +233,17 @@ def _fingerprint_weights(width: int) -> np.ndarray:
 
 def _fingerprint(words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """(P,) 64-bit fingerprints of the rows of ``words``, a (P, W) uint64
-    array, through ``scratch``, one more: each word's sign and exponent bits
-    are folded into its low half, and the folded words are summed with
-    their weights modulo 2^64.  Unfolded, words that differ only in those
-    bits, as the entries 0, +-1 and +-i do, would change only the top bits
-    of the sum."""
-    np.right_shift(words, np.uint64(31), out=scratch)
-    np.bitwise_xor(scratch, words, out=scratch)
-    return scratch @ _fingerprint_weights(words.shape[1])
+    array, formed ``len(scratch)`` rows at a time in ``scratch``: each
+    word's sign and exponent bits are folded into its low half, and the
+    folded words are summed with their weights modulo 2^64.  Unfolded,
+    words that differ only in those bits, as the entries 0, +-1 and +-i do,
+    would change only the top bits of the sum."""
+    prints = np.empty(len(words), np.uint64)
+    for at in range(0, len(words), len(scratch)):
+        part, buf = words[at:at + len(scratch)], scratch[:len(words) - at]
+        np.bitwise_xor(np.right_shift(part, np.uint64(31), out=buf), part, out=buf)
+        np.matmul(buf, _fingerprint_weights(words.shape[1]), out=prints[at:at + len(buf)])
+    return prints
 
 
 class _ClassTable:
@@ -249,85 +252,96 @@ class _ClassTable:
     row-major order of their first prefixes.  Each class keeps its pair
     and its first prefix row in arrays that grow in place, one row per
     class.  The first class met with a fingerprint also keeps its
-    fingerprint in a sorted key array beside its class number.  A chunk's
-    fingerprints find their classes by one ``searchsorted``, those new to
-    the table are numbered by one ``np.unique``, and a prefix is its
-    class's member when both halves of the pair compare equal, in one
-    compare of the whole chunk.  A prefix that fails the compare is looked
+    fingerprint in a sorted key array beside its class number.  A block's
+    prefixes are claimed in the order ``_prefix_blocks`` forms them: their
+    fingerprints, read in row-major order through one permutation, find
+    their classes by one ``searchsorted``, and those new to the table are
+    numbered by one ``np.unique``.  A prefix is its class's member when
+    both halves of the pair compare equal, compared in the block's order,
+    a scratch's rows at a time.  A prefix that fails the compare is looked
     up by its pair's bytes among the classes that are not first with their
     fingerprint."""
 
-    def __init__(self):
+    def __init__(self, width: int, slots: np.ndarray):
+        """An empty table for products of ``width`` words and codes of the
+        family's (m, order) ``slots``."""
         self.keys = np.empty(0, np.uint64)  # sorted fingerprints of the first classes
         self.ids = np.empty(0, np.intp)     # each key's class, a row of the arrays below
         self.others: set[bytes] = set()
         self.n = 0                          # classes claimed; the arrays have spare rows
-        self.firsts = self.words = self.codes = None
+        self.firsts = np.empty(0, np.intp)
+        self.words = np.empty((0, width), np.uint64)
+        self.codes = np.empty((0, len(slots)), slots.dtype)
 
-    def _store(self, start: int, new: np.ndarray, words: np.ndarray, codes: np.ndarray):
-        """Write the classes of chunk-local prefixes ``new`` after the ``n``
-        claimed, growing the arrays in place, by realloc, with 1/16 to
-        spare; refcheck would refuse under a profiler, and every view of
-        them is dropped in the statement that makes it."""
-        at, end = self.n, self.n + len(new)
+    def _store(self, firsts: np.ndarray, words: np.ndarray, codes: np.ndarray):
+        """Write classes with first prefix rows ``firsts``, product
+        ``words`` and folded ``codes`` after the ``n`` claimed, growing the
+        arrays in place, by realloc, with 1/16 to spare; refcheck would
+        refuse under a profiler, and every view of them is dropped in the
+        statement that makes it."""
+        at, end = self.n, self.n + len(firsts)
         if end > len(self.firsts):
             for a in (self.firsts, self.words, self.codes):
                 a.resize((end + end // 16, *a.shape[1:]), refcheck=False)
-        self.firsts[at:end] = start + new
-        self.words[at:end], self.codes[at:end] = words[new], codes[new]
+        self.firsts[at:end], self.words[at:end], self.codes[at:end] = firsts, words, codes
 
-    def claim(self, start: int, words: np.ndarray, codes: np.ndarray):
-        """Add the classes new to the sweep of the chunk whose first prefix
-        row is ``start``, with prefix product ``words`` and (P, m) folded
-        slot codes ``codes``, in the row order of their first prefixes."""
-        p, known = len(words), self.n
-        if self.words is None:
-            self.firsts = np.empty(0, np.intp)
-            self.words = np.empty((0, words.shape[1]), np.uint64)
-            self.codes = np.empty((0, codes.shape[1]), codes.dtype)
-        wbuf, cbuf = np.empty_like(words), np.empty_like(codes)
-        prints = _fingerprint(words, wbuf)
+    def claim(self, start: int, block: np.ndarray, codes: np.ndarray, scratch: np.ndarray):
+        """Add the classes new to the sweep among the prefixes of one block
+        (``_prefix_blocks``), whose first prefix row is ``start``, in the
+        row order of their first prefixes.  ``block`` holds their product
+        words as (order, H, W), row c the H prefixes with last label c;
+        ``codes`` holds their (order*H, m) folded codes in the same order;
+        ``scratch`` holds rows of W words for the fingerprints and the
+        compare."""
+        order, heads, width = block.shape
+        words, known = block.reshape(-1, width), self.n
+        p = len(words)
+        # row-major prefix i*order + c is block row c*H + i
+        perm = np.arange(p).reshape(order, heads).T.ravel()
+        prints = _fingerprint(words, scratch)[perm]
         at = np.searchsorted(self.keys, prints)
         if known:
             ids = self.ids.take(at, mode="clip")
             miss = np.flatnonzero(self.keys.take(at, mode="clip") != prints)
         else:
             ids, miss = np.empty(p, np.intp), np.arange(p)
-        new = miss[:0]
-        if len(miss):
-            # the fingerprints new to the table, each once; their classes are
-            # numbered in the order the fingerprints are first met
-            keys, first, inverse = np.unique(prints[miss], return_index=True,
-                                             return_inverse=True)
-            cls = np.empty(len(keys), np.intp)
-            cls[np.argsort(first)] = np.arange(known, known + len(keys))
-            ids[miss] = cls[inverse]
-            new = miss[np.sort(first)]
-            # keys is sorted, so inserting it keeps the keys sorted
-            self.keys = np.insert(self.keys, at[miss[first]], keys)
-            self.ids = np.insert(self.ids, at[miss[first]], cls)
-            self._store(start, new, words, codes)
-        # the gathers never clip: ids holds class rows
-        np.take(self.words, ids, axis=0, out=wbuf, mode="clip")
-        np.take(self.codes, ids, axis=0, out=cbuf, mode="clip")
-        wsame, csame = wbuf == words, cbuf == codes
-        if not (wsame.all() and csame.all()):
+        # the fingerprints new to the table, each once; their classes are
+        # numbered in the order the fingerprints are first met
+        keys, first = np.unique(prints[miss], return_index=True)
+        inverse = np.searchsorted(keys, prints[miss])  # leaner than unique's own
+        cls = np.empty(len(keys), np.intp)
+        cls[np.argsort(first)] = np.arange(known, known + len(keys))
+        ids[miss] = cls[inverse]
+        new = miss[np.sort(first)]
+        # keys is sorted, so inserting it keeps the keys sorted
+        self.keys = np.insert(self.keys, at[miss[first]], keys)
+        self.ids = np.insert(self.ids, at[miss[first]], cls)
+        self._store(start + new, words[perm[new]], codes[perm[new]])
+        # each block row's class; the gathers never clip: they hold class rows
+        rows = np.empty_like(ids)
+        rows[perm] = ids
+        same = (self.codes.take(rows, axis=0, mode="clip") == codes).all(axis=1)
+        for lo in range(0, p, len(scratch)):
+            buf = scratch[:p - lo]
+            np.take(self.words, rows[lo:lo + len(buf)], axis=0, out=buf, mode="clip")
+            same[lo:lo + len(buf)] &= (buf == words[lo:lo + len(buf)]).all(axis=1)
+        if not same.all():
             claimed = np.zeros(p, dtype=bool)
             claimed[new] = True
-            for i in np.flatnonzero(~(wsame.all(axis=1) & csame.all(axis=1))).tolist():
-                key = words[i].tobytes() + codes[i].tobytes()
+            for i in np.flatnonzero(~same[perm]).tolist():
+                key = words[perm[i]].tobytes() + codes[perm[i]].tobytes()
                 if key not in self.others:
                     self.others.add(key)
                     claimed[i] = True
             if claimed.sum() > len(new):
                 # a class that shares its fingerprint with an earlier one is
-                # new: the chunk's new classes are written again in row
+                # new: the block's new classes are written again in row
                 # order, and the keys of those first with their fingerprint
                 # renumbered
                 fresh, new = new, np.flatnonzero(claimed)
                 late = self.ids >= known
                 self.ids[late] = known + np.searchsorted(new, fresh)[self.ids[late] - known]
-                self._store(start, new, words, codes)
+                self._store(start + new, words[perm[new]], codes[perm[new]])
         self.n = known + len(new)
 
 
@@ -339,8 +353,9 @@ def _prefix_blocks(fam: _Family, tuple_len: int):
     matrix as one tall product, issued by numpy's loop from one broadcast
     matmul, so its bits are those of a matmul per label on any kernel.
     The H products with label c fill rows c*H .. c*H+H-1 of the
-    (order*H, d, d) block.  H is held to the tall product's bound and to
-    ``_PREFIX_BLOCK_BYTES``, but a block holds at least one head.  Two
+    (order*H, d, d) block, so block row c*H+i is prefix row
+    (first head + i)*order + c.  H is held to the tall product's bound and
+    to ``_PREFIX_BLOCK_BYTES``, but a block holds at least one head.  Two
     factors have empty heads and one block, the dense stack itself.
     Yields (first head, H, block); the block is valid until the next."""
     order, d, stack = fam.order, fam.d, fam.dense_stack
@@ -362,42 +377,6 @@ def _prefix_blocks(fam: _Family, tuple_len: int):
             acc, spare = np.matmul(acc, factor, out=spare), acc
         np.matmul(acc.reshape(h * d, d), stack, out=block[:order * h].reshape(order, h * d, d))
         yield first, h, block[:order * h]
-
-
-def _closure_claims(fam: _Family, tuple_len: int, chunks):
-    """The exhaustive closure's chunks in flat row-major order; start and
-    stop are multiples of the label count, so a chunk is whole runs that
-    each share their leading tuple_len-1 factors.  Every prefix's literal
-    product is taken from its block of heads (``_prefix_blocks``) into a
-    buffer reused from chunk to chunk, and its factors' slot codes,
-    gathered once, are folded (``phases._slot_fold``) into its m codes.
-    Yields (the chunk's first prefix row, every prefix's product as
-    (P, 2*d*d) words, every prefix's (P, m) folded codes); the words are
-    the buffer, valid until the next chunk."""
-    order, stack = fam.order, fam.dense_stack
-    blocks = _prefix_blocks(fam, tuple_len)
-    first = size = 0  # the current block's first head and head count
-    prods = None
-    for start, stop in chunks:
-        start, stop = start // order, stop // order  # prefix rows
-        pref = phases._build_tuples(order, tuple_len - 1, start, stop)
-        p = len(pref)
-        if prods is None:  # every chunk but the last is as long as the first
-            prods = np.empty((p, *stack.shape[1:]), stack.dtype)
-        acc = prods[:p]
-        row = start
-        while row < stop:  # one take from each block the chunk meets
-            if row >= (first + size) * order:
-                first, size, block = next(blocks)
-            end = min(stop, (first + size) * order)
-            part = slice(row - start, end - start)
-            # prefix (head first+i, last label c) is block row c*size + i;
-            # the take never clips
-            rows = pref[part, -1] * size + (np.arange(row, end) // order - first)
-            np.take(block, rows, axis=0, out=acc[part], mode="clip")
-            row = end
-        codes = phases._slot_fold(fam.q, [fam.slots.take(col, axis=1) for col in pref.T])
-        yield start, acc.reshape(p, -1).view(np.uint64), np.stack(codes, axis=-1)
 
 
 def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
@@ -450,14 +429,17 @@ def _closure_on_range(fam: _Family, at: np.ndarray, acc: np.ndarray,
     return worst, np.where(lasts < 0, -1, at * order + lasts)
 
 
-def _closure_sweep(fam: _Family, tuple_len: int, total: int,
-                   tol: float) -> tuple[float, int | None]:
+def _closure_sweep(fam: _Family, tuple_len: int, tol: float) -> tuple[float, int | None]:
     """The exhaustive closure's worst deviation and first bad tuple, or
-    None.  Prefixes are claimed into a ``_ClassTable`` in chunks of
-    ``runs`` prefixes, and its classes are judged in claim order, in
-    batches of ``batch`` and the rest at the end; both are held to the
-    tall product's bound.  Claiming asks the kernel nothing: a batch's
-    label results come from ``index_mult`` on its classes' first prefixes,
+    None.  Each block of prefix products is claimed into a ``_ClassTable``
+    as ``_prefix_blocks`` yields it, one claim per block: its words are
+    the block itself, viewed as (order, h, 2*d*d) uint64 with no copy, and
+    its folded codes come from one ``phases._slot_fold`` of (m, order*h)
+    codes in the block's order.  The table's classes are judged in claim
+    order, in batches of ``batch`` and the rest at the end; a batch and the
+    claims' one scratch, ``batch`` rows of words, are held to the tall
+    product's bound.  Claiming asks the kernel nothing: a batch's label
+    results come from ``index_mult`` on its classes' first prefixes,
     ``runs`` at a time.  Classes are claimed in row-major order of their
     first prefixes, so the first failing one holds the first bad tuple, and
     the sweep stops there.  The worst deviation then covers exactly the
@@ -466,7 +448,7 @@ def _closure_sweep(fam: _Family, tuple_len: int, total: int,
     order, d = fam.order, fam.d
     batch = max(1, _TALL_MNK // d ** 3)
     runs = max(1, min(_CHUNK // order, batch))
-    table, judged, worst = _ClassTable(), 0, 0.0
+    table, judged, worst = _ClassTable(2 * d * d, fam.slots), 0, 0.0
 
     def judge(size: int) -> int | None:
         """Judge the next ``size`` classes; their first bad tuple, or None."""
@@ -488,12 +470,21 @@ def _closure_sweep(fam: _Family, tuple_len: int, total: int,
         worst = float(np.maximum(worst, worsts[:upto].max()))  # a NaN stays NaN
         return int(bads[failed[0]]) if len(failed) else None
 
-    for start, words, codes in _closure_claims(fam, tuple_len,
-                                               phases._chunk_ranges(total, runs * order)):
-        table.claim(start, words, codes)
+    scratch, slots = np.empty((batch, 2 * d * d), np.uint64), fam.slots
+    for head, h, block in _prefix_blocks(fam, tuple_len):
+        # block row c*h + i is prefix (head + i, last label c): its codes
+        # fold the heads' gathered codes, tiled to every label, with each
+        # label's, repeated h times
+        cols = (np.unravel_index(np.arange(head, head + h), (order,) * (tuple_len - 2))
+                if tuple_len > 2 else ())
+        codes = phases._slot_fold(fam.q, [*(np.tile(slots.take(col, axis=1), order)
+                                            for col in cols), np.repeat(slots, h, axis=1)])
+        table.claim(head * order, block.reshape(order, h, -1).view(np.uint64),
+                    np.stack(codes, axis=-1), scratch)
         while table.n - judged >= batch:
             if (first := judge(batch)) is not None:
                 return worst, first
+    del block, codes  # the last block is freed before the rest is judged
     first = judge(table.n - judged) if table.n > judged else None
     return worst, first
 
@@ -589,7 +580,7 @@ def _check(fam: _Family, kind: str, *, mode: str, budget: int, samples: int,
     closure = kind == "closure"
     checked, worst, first, jobs = 0, 0.0, None, ()
     if exhaustive and closure:
-        worst, first = _closure_sweep(fam, tuple_len, total, tol)
+        worst, first = _closure_sweep(fam, tuple_len, tol)
         checked = total
     elif exhaustive:
         jobs = phases._chunk_ranges(total, _CHUNK)

@@ -325,8 +325,13 @@ _HET3_EXHAUSTIVE_SHA = "1293b55648bf0515aa95481b8ed1809a2791118c2c066ba4c8c87f6e
     # the benchmark's het3-exhaustive workload
     (_HET3_EXHAUSTIVE, _HET3_EXHAUSTIVE_SHA,
      "3977469830abb8795d13278cbc46ab30f4b33ff42e2497d29cd512f951757b57"),
+    # exhaustive under auto: 23,887,872 tuples, 10,314 rounding classes
+    # claimed in prefix blocks of 21 heads
+    (["--family", "full", "--n", "3", "--q", "72"],
+     "1dd6cdac428f26af42f295cd8cd9748f306b803297f30c4ad169bece34f4fb67",
+     "d887f75d6889e97c71bf27d74f0b946fe28b4013a198dfee0e64d5588396ab37"),
 ], ids=["pauli-q4", "elementary-n3-q4", "full-n3-q8-seed7", "het-n3-q4-sample",
-        "het-n4-q8", "het-n3-q4-exhaustive"])
+        "het-n4-q8", "het-n3-q4-exhaustive", "full-n3-q72"])
 def test_verify_outputs_are_pinned(tmp_path, args, report_sha, junit_sha):
     out, junit = tmp_path / "r.json", tmp_path / "j.xml"
     assert run(["verify", *args, "--out", out, "--junit", junit]) == 0
@@ -436,6 +441,27 @@ def test_cayley_unwritable_out_is_refused_before_any_work(monkeypatch, capsys, t
         assert run(["cayley", "--family", "pauli", "--format", fmt, "--out", out]) == 2
         assert capsys.readouterr().err == (
             f"error: cannot open {out}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--junit"])
+def test_verify_unwritable_output_is_refused_before_any_sweep(monkeypatch, capsys, tmp_path,
+                                                              flag):
+    # an unwritable --out or --junit is refused with exit 2 and one error
+    # line before any closure check runs, and an existing --out keeps its
+    # bytes; the report used to be written only after the sweeps, and with
+    # only --junit unwritable it was written before the refusal
+    checks, real = [], oracle.closure_check
+    monkeypatch.setattr(oracle, "closure_check", lambda *args, **kwargs: (
+        checks.append(args) or real(*args, **kwargs)))
+    paths = {"--out": tmp_path / "r.json", "--junit": tmp_path / "j.xml"}
+    paths["--out"].write_bytes(b"an earlier report\n")
+    paths[flag] = bad = tmp_path / "missing" / "x"
+    assert run(["verify", *_HET3_EXHAUSTIVE,
+                "--out", paths["--out"], "--junit", paths["--junit"]]) == 2
+    assert capsys.readouterr().err == f"error: cannot open {bad}: No such file or directory\n"
+    assert checks == []
+    assert (tmp_path / "r.json").read_bytes() == b"an earlier report\n"
+    assert not (tmp_path / "j.xml").exists()
 
 
 @pytest.mark.parametrize("command, name, reason", [

@@ -699,7 +699,7 @@ def test_closure_check_fails_a_non_finite_product(monkeypatch, value, mode):
 
 
 def test_closure_sweep_negative_control_prefix_path(monkeypatch):
-    # het(3, 4) runs the shared-prefix chunk path; label 100 first shows up as
+    # het(3, 4) runs the shared-prefix block path; label 100 first shows up as
     # the label result of tuple 352 = (0, 1, 96), so the sweep must stop
     # there with that tuple, in row-major order, as its witness
     _doctor_lowering(monkeypatch, "het", 3, 4, 100, _negate)
@@ -714,8 +714,8 @@ def test_closure_sweep_negative_control_prefix_path(monkeypatch):
 
 
 def test_closure_sweep_first_failure_is_row_major_across_labels(monkeypatch):
-    # inside the first chunk of het(3, 4), prefix 0 fails only with last label
-    # 200 and prefix 1 with last label 5: the chunk is judged one last label
+    # inside the first batch of het(3, 4), prefix 0 fails only with last label
+    # 200 and prefix 1 with last label 5: the batch is judged one last label
     # at a time, so label 5's failure is met first, yet tuple (0, 0, 200)
     # comes first in row-major order and must be the witness
     order = family_context("het", 3, 4).order
@@ -877,7 +877,7 @@ def test_assoc_negative_control_in_one_slot(monkeypatch):
 
 def test_exhaustive_closure_worst_deviation_is_pinned():
     # the shared-prefix products must reproduce the per-tuple products bit
-    # for bit; a single wide product per chunk changes this value
+    # for bit; a single wide product per block changes this value
     res = closure_check("full", 4, 8, mode="exhaustive")
     assert res.passed and res.checked == 32 ** 4
     assert res.max_abs_deviation == 9.604815623288835e-16
@@ -906,11 +906,11 @@ def test_exhaustive_closure_judges_each_class_bit_for_bit(monkeypatch, family, n
     # the sweep judges one prefix per (product bytes, folded codes) class,
     # and its label results are one-to-one with its codes, so the classes
     # are those of (product bytes, label results) keys.  A reference sweep
-    # in the sweep's chunks builds every tuple's literal product by the left
-    # fold and the tall product; each must equal, bit for bit, its class
-    # representative's product times the last label, as the sweep computed
-    # it, and the worst deviations must be equal.  Each batch's results are
-    # copied, as the sweep owns their memory
+    # in chunks of the judging bound builds every tuple's literal product
+    # by the left fold and the tall product; each must equal, bit for bit,
+    # its class representative's product times the last label, as the
+    # sweep computed it, and the worst deviations must be equal.  Each
+    # batch's results are copied, as the sweep owns their memory
     fam = family_context(family, n, q)
     stack, order, d = fam.dense_stack, fam.order, fam.dense_stack.shape[-1]
     judged = []
@@ -955,10 +955,11 @@ def test_failing_closure_class_across_chunks_matches_literal_reference(monkeypat
     # the folded codes of every het (3, 4) prefix (a, b) with a > 0 whose
     # literal product is that of prefix (0, 10) are doctored.  Those
     # prefixes form one class; (0, 10) has the same product bits but other
-    # codes, so it is not in it.  With four or 16 prefixes to a chunk,
-    # the class is first met past the second chunk and has members in
-    # later ones.  checked, the witness and the worst deviation must be
-    # those of a literal per-tuple sweep over exactly the checked tuples
+    # codes, so it is not in it.  With one head to a prefix block, the
+    # class is first met past the first block and has members in later
+    # ones; it is judged in batches of four classes and of 16.  checked,
+    # the witness and the worst deviation must be those of a literal
+    # per-tuple sweep over exactly the checked tuples
     _failing_class_matches_literal_reference(monkeypatch)
 
 
@@ -978,8 +979,8 @@ def test_failing_closure_class_without_fingerprints_matches_literal_reference(mo
 @pytest.mark.parametrize("fingerprints", [True, False], ids=["fingerprints", "exact"])
 def test_failing_closure_class_in_one_head_blocks_matches_literal_reference(monkeypatch,
                                                                            fingerprints):
-    # the doctored class above, with every prefix product taken from a
-    # block of one head, so each head's 256 prefixes span many claim chunks
+    # the doctored class above, in blocks held to one head by their floor,
+    # at least one head a block, rather than by one head's bytes
     monkeypatch.setattr(oracle, "_PREFIX_BLOCK_BYTES", 1)
     if not fingerprints:
         _constant_fingerprint(monkeypatch)
@@ -1038,14 +1039,17 @@ def _failing_class_matches_literal_reference(monkeypatch):
     assert np.array_equal(stack[row[0]] @ stack[row[1]], stack[0] @ stack[10])
     _, acc, res = _reference_prefixes(fam, stack, 0, 3 * order)
     keys = _class_keys(acc, res)
+    # one head, its 256 prefixes, to a block, unless the caller held blocks
+    # to their floor
+    monkeypatch.setattr(oracle, "_PREFIX_BLOCK_BYTES",
+                        min(oracle._PREFIX_BLOCK_BYTES, stack.nbytes))
+    assert first // order // order == 1  # past the first block
 
-    for runs in (4, 16):  # 16 is the batch at this tall-product bound
-        monkeypatch.setattr(oracle, "_CHUNK", runs * order)
-        monkeypatch.setattr(oracle, "_TALL_MNK", 1 << 10)
-        assert first // order > 2 * runs  # past the second chunk
-        # the class of the failing prefix has members in chunks after its own
-        chunks = {i // runs for i, key in enumerate(keys) if key == keys[first // order]}
-        assert len(chunks) > 1 and min(chunks) == first // order // runs
+    for runs in (4, 16):  # classes to a batch; 16 at a tall-product bound of 2^10
+        monkeypatch.setattr(oracle, "_TALL_MNK", runs * 4 ** 3)
+        # the class of the failing prefix has members in blocks after its own
+        blocks = {i // order for i, key in enumerate(keys) if key == keys[first // order]}
+        assert len(blocks) > 1 and min(blocks) == first // order // order
 
         res = closure_check("het", 3, 4, mode="exhaustive", tol=1e-12)
         assert (res.passed, res.checked, res.max_abs_deviation) == (False, first + 1, worst)
@@ -1089,7 +1093,7 @@ def _judged_first_prefixes(monkeypatch):
 @pytest.mark.parametrize("family, n, q", [("full", 3, 8), ("het", 3, 4), ("elementary", 3, 8)])
 def test_exhaustive_closure_with_two_bit_fingerprints_judges_the_same_prefixes(
         monkeypatch, family, n, q):
-    # four fingerprints for the whole sweep: a chunk's prefixes mix classes
+    # four fingerprints for the whole sweep: a block's prefixes mix classes
     # found by their fingerprint with classes that share one with an
     # earlier class and are found by their exact key; the same prefixes
     # must be judged, and the results must be identical.  The witness is
@@ -1108,7 +1112,7 @@ def test_exhaustive_closure_with_two_bit_fingerprints_judges_the_same_prefixes(
 
 
 def test_exhaustive_closure_judges_classes_in_full_batches(monkeypatch):
-    # full (3, 24): 18 claim chunks of 512 prefixes; their classes are
+    # full (3, 24): two prefix blocks, of 64 heads and 32; their classes are
     # judged 512 at a time, the tall product's bound at d = 4, so every
     # judging call but the last gets a full batch
     judged = _judged_first_prefixes(monkeypatch)
@@ -1123,9 +1127,9 @@ def test_exhaustive_closure_judges_classes_in_full_batches(monkeypatch):
 @pytest.mark.parametrize("family, n, q", [("elementary", 3, 8), ("full", 4, 4), ("het", 3, 4)])
 def test_exhaustive_closure_in_small_prefix_blocks_judges_the_same_prefixes(
         monkeypatch, family, n, q, heads):
-    # prefix products taken from blocks of one head or three instead of
-    # the default's many: elementary (3, 8) has 65 labels, so its 512-prefix
-    # chunks cut through heads and blocks; a full (4, 4) head is a pair of
+    # prefix products formed and claimed in blocks of one head or three
+    # instead of the default's many: elementary (3, 8) has 65 heads, so its
+    # last block of three holds two; a full (4, 4) head is a pair of
     # labels, folded before its tall products.  The same prefixes must be
     # judged, and the results must be identical.  Like the bit-for-bit
     # class test, this holds only where a tall product's row bits do not
@@ -1180,11 +1184,12 @@ def test_prefix_blocks_equal_per_label_tall_products(monkeypatch, family, n, q, 
 
 def test_exhaustive_closure_holds_one_prefix_block_besides_its_buffers():
     # het (3, 4) exhaustive, with its context and dense stack held, peaks
-    # at 2.05 MB: a 1.5 MiB block of 24 heads times 256 labels, and about
-    # 0.5 MB of chunk buffers, the class table with one claim's compare
-    # buffers, and one batch's copies, label results and judging buffers
-    # (the peak is 0.75 MB with one-head blocks).  A block held only to the
-    # tall product's bound would be 512 heads, 32 MiB
+    # at 2.24 MB, in its first claim: a 1.5 MiB block of 24 heads times 256
+    # labels, claimed where it is formed, the claims' 128 KiB scratch, and
+    # about 0.5 MB of that claim's codes and class lookups (the peak is
+    # 0.76 MB with one-head blocks).  Its 256 classes are judged after the
+    # last block is dropped.  A block held only to the tall product's bound
+    # would be 512 heads, 32 MiB
     closure_check("het", 3, 4, mode="exhaustive")  # the context, its stack and tables
     res, peak = traced_peak(lambda: closure_check("het", 3, 4, mode="exhaustive"))
     assert res.passed and oracle._PREFIX_BLOCK_BYTES == 3 << 19
@@ -1211,14 +1216,14 @@ def test_exhaustive_closure_judges_results_in_their_narrow_dtype():
 @pytest.mark.parametrize("runs, y, batches", [(257, 400, [0]), (258, 700, [0, 0])],
                          ids=["chunk-past-its-batch", "batch-past-its-chunk"])
 def test_failing_class_near_batch_ends_matches_literal_reference(monkeypatch, runs, y, batches):
-    # het (3, 4) with ``runs`` prefixes to a chunk and as many classes to a
-    # batch.  Prefixes 0..255 hold the undoctored family's 256 classes, so
-    # prefixes x and y, with doctored codes, are the only classes after
-    # them: x's is class 256, in chunk 1, and fails first; y's is class 257
-    # and fails with the larger deviation.  With 257, y is in chunk 1 but
-    # starts the second batch, which the sweep never judges.  With 258, y
-    # shares the failing batch but is in chunk 2, so a sweep that counted
-    # every class of that batch would count it.  checked, the witness and
+    # het (3, 4) with ``runs`` classes to a batch, all claimed from the first
+    # prefix block of 24 heads.  Prefixes 0..255 hold the undoctored family's
+    # 256 classes, so prefixes x and y, with doctored codes, are the only
+    # classes after them: x's is class 256 and fails first; y's is class 257
+    # and fails with the larger deviation.  With 257, y starts the second
+    # batch, which the sweep never judges.  With 258, y shares the failing
+    # batch but comes after x's class, so a sweep that counted every class
+    # of that batch would count it.  checked, the witness and
     # the worst deviation must be those of a literal per-tuple sweep over
     # exactly the checked tuples
     fam = family_context("het", 3, 4)
@@ -1264,10 +1269,10 @@ def test_failing_report_covers_exactly_its_checked_tuples(monkeypatch, family, n
     # a tolerance below one rounding fails het (4, 8)'s seeded sample at its
     # first row and full (4, 8)'s exhaustive closure at tuple 34: the worst
     # deviation must be a literal per-tuple sweep's over exactly the checked
-    # tuples, in the default slices and chunks and in small ones
+    # tuples, in the default slices and prefix blocks and in small ones
     if small:
         monkeypatch.setattr(oracle, "_SAMPLE_SLICE", 3)
-        monkeypatch.setattr(oracle, "_CHUNK", 32 * 3)
+        monkeypatch.setattr(oracle, "_PREFIX_BLOCK_BYTES", 1)
     fam = family_context(family, n, q)
     sampled = family == "het"
     res = closure_check(family, n, q, mode="sample" if sampled else "exhaustive",
@@ -1282,27 +1287,34 @@ def test_failing_report_covers_exactly_its_checked_tuples(monkeypatch, family, n
 
 def test_closure_claims_ask_the_kernel_nothing(monkeypatch):
     # the claim pass keys prefixes by their folded codes: on het (3, 4) and
-    # full (3, 8) no kernel call is made while it runs, and the kernel is
-    # asked about exactly the judged classes' first prefixes, 256 of het
-    # (3, 4)'s 65,536 prefixes
-    asked, claiming, real_claims = [], [False], oracle._closure_claims
+    # full (3, 8) no kernel call is made from the start of a prefix block's
+    # forming to the end of its claim, and the kernel is asked about
+    # exactly the judged classes' first prefixes, 256 of het (3, 4)'s
+    # 65,536 prefixes
+    asked, claiming = [], [False]
+    real_blocks, real_claim = oracle._prefix_blocks, oracle._ClassTable.claim
 
-    def closure_claims(*args):
-        claims = real_claims(*args)
+    def prefix_blocks(*args):
+        blocks = real_blocks(*args)
         while True:
             claiming[0] = True
-            chunk = next(claims, None)
-            claiming[0] = False
-            if chunk is None:
+            block = next(blocks, None)
+            if block is None:
+                claiming[0] = False
                 return
-            yield chunk
+            yield block
+
+    def claim(self, *args):
+        real_claim(self, *args)
+        claiming[0] = False
 
     def counted(*args):
         fam = family_context(*args)
         return dataclasses.replace(fam, index_mult=lambda idx, every_last=False, **kw: (
             asked.append((claiming[0], idx.copy())) or fam.index_mult(idx, every_last, **kw)))
 
-    monkeypatch.setattr(oracle, "_closure_claims", closure_claims)
+    monkeypatch.setattr(oracle, "_prefix_blocks", prefix_blocks)
+    monkeypatch.setattr(oracle._ClassTable, "claim", claim)
     monkeypatch.setattr(oracle, "family_context", counted)
     judged = _judged_first_prefixes(monkeypatch)
     for family, n, q, classes in [("het", 3, 4, 256), ("full", 3, 8, None)]:
@@ -1314,6 +1326,73 @@ def test_closure_claims_ask_the_kernel_nothing(monkeypatch):
         assert np.array_equal(np.concatenate([idx for _, idx in asked]),
                               np.stack(np.unravel_index(firsts, (order,) * (n - 1)), axis=-1))
         assert len(firsts) == (classes or len(firsts)) < order ** (n - 1)
+
+
+def _row_major_table(fam):
+    """The class table of a claim pass in row-major chunks of ``runs``
+    prefixes: each chunk's products taken prefix by prefix from their
+    prefix blocks, its codes folded from its prefixes' factors, and the
+    chunk claimed as one block row, so in row-major order throughout."""
+    order, d, prefixes = fam.order, fam.d, fam.order ** (fam.n - 1)
+    runs = max(1, min(oracle._CHUNK // order, oracle._TALL_MNK // d ** 3))
+    table = oracle._ClassTable(2 * d * d, fam.slots)
+    scratch = np.empty((runs, 2 * d * d), np.uint64)
+    blocks, first, size = oracle._prefix_blocks(fam, fam.n), 0, 0
+    for start in range(0, prefixes, runs):
+        pref = phases._build_tuples(order, fam.n - 1, start, min(start + runs, prefixes))
+        acc = np.empty((len(pref), d, d), complex)
+        for i, row in enumerate(range(start, start + len(pref))):
+            if row >= (first + size) * order:
+                first, size, block = next(blocks)
+            head, last = divmod(row, order)
+            acc[i] = block[last * size + head - first]
+        codes = phases._slot_fold(fam.q, [fam.slots.take(col, axis=1) for col in pref.T])
+        table.claim(start, acc.reshape(1, len(pref), -1).view(np.uint64),
+                    np.stack(codes, axis=-1), scratch)
+    return table
+
+
+@pytest.mark.parametrize("one_head", [False, True], ids=["default-blocks", "one-head-blocks"])
+@pytest.mark.parametrize("family, n, q", [
+    ("pauli", 2, 12), ("full", 3, 8), ("full", 4, 8), ("elementary", 3, 8), ("het", 3, 4),
+])
+def test_claim_pass_builds_the_row_major_table(monkeypatch, family, n, q, one_head):
+    # the sweep claims each prefix block in the order it forms it, label by
+    # label; the table it builds must be, array for array, the one a claim
+    # pass in row-major chunks builds: the same classes, first prefixes,
+    # product words and codes, in the same order
+    fam = family_context(family, n, q)
+    if one_head:
+        monkeypatch.setattr(oracle, "_PREFIX_BLOCK_BYTES", 1)
+    want, tables, real = _row_major_table(fam), [], oracle._ClassTable
+
+    class Recorded(real):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(oracle, "_ClassTable", Recorded)
+    assert closure_check(family, n, q, mode="exhaustive").passed
+    [got] = tables
+    assert got.n == want.n > 0
+    for name in ("firsts", "words", "codes"):
+        assert np.array_equal(getattr(got, name)[:got.n], getattr(want, name)[:want.n])
+
+
+@pytest.mark.parametrize("family, n, q, blocks", [("het", 3, 4, 11), ("full", 3, 72, 14)])
+def test_exhaustive_closure_claims_once_per_prefix_block(monkeypatch, family, n, q, blocks):
+    # het (3, 4)'s 256 heads in blocks of 24 and full (3, 72)'s 288 in
+    # blocks of 21: one claim per block, of the block's first prefix row
+    claims, formed = [], []
+    real_claim, real_blocks = oracle._ClassTable.claim, oracle._prefix_blocks
+    monkeypatch.setattr(oracle._ClassTable, "claim", lambda self, start, *args: (
+        claims.append(start) or real_claim(self, start, *args)))
+    monkeypatch.setattr(oracle, "_prefix_blocks", lambda *args: (
+        formed.append(block[0]) or block for block in real_blocks(*args)))
+    assert closure_check(family, n, q, mode="exhaustive").passed
+    order = family_context(family, n, q).order
+    assert len(claims) == len(formed) == blocks
+    assert claims == [first * order for first in formed]
 
 
 @pytest.mark.parametrize("family, n, q", [("het", 3, 4), ("elementary", 3, 8), ("pauli", 2, 12)])
